@@ -10,6 +10,16 @@
 //! checkpoints to its journal and goes back on the persistent queue,
 //! and `run` returns once the workers have drained — so a restarted
 //! daemon picks the job back up and finishes it byte-identically.
+//!
+//! The accept model is event-driven: the listener blocks in `accept`
+//! and hands each connection to its handler the moment it arrives, so
+//! no request waits on a poll interval. Shutdown wakes the blocked
+//! `accept` itself — [`ShutdownHandle::shutdown`] flips the flag, then
+//! connects once to the listener; the loop re-checks the flag after
+//! every accept and drops that waking connection unserved. A signal
+//! handler may only store the flag, so [`install_signal_handlers`]
+//! starts a watcher thread that waits for the flag and performs the
+//! same wake: the only remaining wait is on the shutdown path.
 
 use crate::engine::{is_cancelled, Engine};
 use crate::error::ServeError;
@@ -21,7 +31,7 @@ use crate::store::{content_id, ResultStore};
 use serde::Value;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,6 +45,11 @@ use std::time::{Duration, Instant};
 /// answerable from the store; streams attached to a retired feed see
 /// a terminal line (see [`stream_events`]).
 const RETAINED_TERMINAL_JOBS: usize = 64;
+
+/// Bound on the wake connection [`ShutdownHandle::shutdown`] makes to
+/// its own listener. A loopback connect completes in microseconds; the
+/// bound only keeps shutdown from hanging on a wedged network stack.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How the daemon is configured.
 #[derive(Debug, Clone)]
@@ -79,18 +94,45 @@ impl ServerConfig {
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     cancel: Arc<AtomicBool>,
+    /// The listener's bound address, connected to once to wake its
+    /// blocked `accept`.
+    addr: SocketAddr,
 }
 
 impl ShutdownHandle {
     /// Begin graceful shutdown: stop accepting work, checkpoint and
     /// requeue the in-flight job, return from [`Server::run`].
     pub fn shutdown(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        // SeqCst, paired with the accept loop's SeqCst load: the wake
+        // connect below is made after this store, so the `accept` it
+        // unblocks must observe the flag.
+        self.cancel.store(true, Ordering::SeqCst);
+        self.wake();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.cancel.load(Ordering::SeqCst)
+    }
+
+    /// Connect once to the listener so a blocked `accept` returns and
+    /// the loop sees the flag. A listener bound to an unspecified
+    /// address (`0.0.0.0`, `::`) is reached over loopback. A failed
+    /// connect means nothing is listening any more, so there is
+    /// nothing to wake.
+    fn wake(&self) {
+        let mut addr = self.addr;
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        if let Ok(stream) = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT) {
+            // Nothing is read from this connection (the accept loop
+            // drops it unserved); the deadline keeps the crate's rule
+            // that every opened connection carries one.
+            let _ = stream.set_read_timeout(Some(WAKE_TIMEOUT));
+        }
     }
 }
 
@@ -174,6 +216,9 @@ impl Shared {
 /// The bound daemon, ready to [`run`](Server::run).
 pub struct Server {
     listener: TcpListener,
+    /// The address actually bound (`:0` resolved), which shutdown
+    /// handles connect to.
+    addr: SocketAddr,
     shared: Arc<Shared>,
     workers: usize,
 }
@@ -206,9 +251,10 @@ impl Server {
             config.pipeline_jobs,
         );
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         Ok(Server {
             listener,
+            addr,
             shared: Arc::new(Shared {
                 queue,
                 store,
@@ -237,6 +283,7 @@ impl Server {
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
             cancel: self.shared.cancel.clone(),
+            addr: self.addr,
         }
     }
 
@@ -246,7 +293,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on a non-recoverable accept error.
+    /// [`ServeError::Io`] on an accept error that leaves the listener
+    /// unusable. Transient ones — a connection aborted before it was
+    /// accepted, an interrupted call, file-descriptor exhaustion — are
+    /// logged and serving continues.
     pub fn run(self) -> Result<(), ServeError> {
         let mut schedulers = Vec::with_capacity(self.workers);
         for i in 0..self.workers {
@@ -259,28 +309,35 @@ impl Server {
             );
         }
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.cancel.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = self.shared.clone();
-                    match std::thread::Builder::new()
-                        .name("xps-conn".to_string())
-                        .spawn(move || handle_connection(&shared, stream))
-                    {
-                        Ok(h) => handlers.push(h),
-                        // Transient spawn failure (thread exhaustion)
-                        // must not kill the daemon: the dropped stream
-                        // closes the one connection, the accept loop
-                        // lives on.
-                        Err(e) => eprintln!("xps-serve: connection handler spawn failed: {e}"),
-                    }
-                    handlers.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+        while !self.shared.cancel.load(Ordering::SeqCst) {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                // A transient accept failure must not kill the daemon
+                // any more than a failed handler spawn does: log it
+                // and keep serving.
+                Err(e) if accept_error_is_transient(&e) => {
+                    eprintln!("xps-serve: accept failed, still serving: {e}");
+                    continue;
                 }
                 Err(e) => return Err(e.into()),
+            };
+            // The connection that woke this accept may be the shutdown
+            // wake (or a client racing it): drop it unserved.
+            if self.shared.cancel.load(Ordering::SeqCst) {
+                break;
             }
+            let shared = self.shared.clone();
+            match std::thread::Builder::new()
+                .name("xps-conn".to_string())
+                .spawn(move || handle_connection(&shared, stream))
+            {
+                Ok(h) => handlers.push(h),
+                // Transient spawn failure (thread exhaustion) must not
+                // kill the daemon: the dropped stream closes the one
+                // connection, the accept loop lives on.
+                Err(e) => eprintln!("xps-serve: connection handler spawn failed: {e}"),
+            }
+            handlers.retain(|h| !h.is_finished());
         }
         // Drain: no new submissions, wake blocked workers, let the
         // in-flight job hit its cancellation checkpoint and requeue.
@@ -293,6 +350,22 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Whether a failed `accept` leaves the listener usable, so the loop
+/// should log it and keep serving: a peer that reset its connection
+/// before it was accepted, an interrupted call, or a process or system
+/// out of file descriptors (`EMFILE` 24, `ENFILE` 23 on Linux, macOS
+/// and the BSDs), which frees up as handlers finish. Anything else
+/// means the listener itself is broken.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    matches!(
+        e.kind(),
+        ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
 }
 
 /// One scheduler worker: drain jobs until the queue closes or
@@ -650,11 +723,17 @@ fn stream_events(shared: &Shared, id: &str, w: &mut impl Write) -> Result<(), Se
 ///
 /// Hand-rolled over the C `signal` entry point (no `libc` crate — the
 /// workspace stays dependency-free); the handler body is one atomic
-/// store, which is async-signal-safe.
+/// store, which is async-signal-safe. Connecting to the listener is
+/// not, so one watcher thread, started here, waits for the flag and
+/// then wakes the blocked `accept` as [`ShutdownHandle::shutdown`]
+/// does. It holds no lock while it waits and exits after the wake.
 #[cfg(unix)]
 pub fn install_signal_handlers(handle: ShutdownHandle) {
-    use std::sync::Mutex;
     use std::sync::OnceLock;
+
+    /// How often the watcher checks the flag: it bounds how long a
+    /// signalled shutdown takes to start, and is paid on no request.
+    const SIGNAL_WATCH_PERIOD: Duration = Duration::from_millis(20);
 
     static HANDLE: OnceLock<Mutex<ShutdownHandle>> = OnceLock::new();
 
@@ -664,7 +743,7 @@ pub fn install_signal_handlers(handle: ShutdownHandle) {
             // update below must not deadlock; it will be re-sent or
             // the next signal will land.
             if let Ok(h) = cell.try_lock() {
-                h.shutdown();
+                h.cancel.store(true, Ordering::SeqCst);
             }
         }
     }
@@ -676,12 +755,23 @@ pub fn install_signal_handlers(handle: ShutdownHandle) {
     }
 
     match HANDLE.get_or_init(|| Mutex::new(handle.clone())).lock() {
-        Ok(mut slot) => *slot = handle,
-        Err(poisoned) => *poisoned.into_inner() = handle,
+        Ok(mut slot) => *slot = handle.clone(),
+        Err(poisoned) => *poisoned.into_inner() = handle.clone(),
     }
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
+    }
+    let watcher = std::thread::Builder::new()
+        .name("xps-signal-watch".to_string())
+        .spawn(move || {
+            while !handle.is_shutdown() {
+                std::thread::sleep(SIGNAL_WATCH_PERIOD);
+            }
+            handle.wake();
+        });
+    if let Err(e) = watcher {
+        eprintln!("xps-serve: signal watcher spawn failed, a signal drains only at the next connection: {e}");
     }
 }
 
@@ -696,13 +786,36 @@ mod tests {
 
     #[test]
     fn shutdown_handle_flips_the_flag() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let cancel = Arc::new(AtomicBool::new(false));
         let handle = ShutdownHandle {
             cancel: cancel.clone(),
+            addr: listener.local_addr().expect("addr"),
         };
         assert!(!handle.is_shutdown());
         handle.shutdown();
         assert!(handle.is_shutdown() && cancel.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn transient_accept_errors_are_told_from_fatal_ones() {
+        use std::io::{Error, ErrorKind};
+        for transient in [
+            Error::from(ErrorKind::ConnectionAborted),
+            Error::from(ErrorKind::Interrupted),
+            Error::from_raw_os_error(24),
+            Error::from_raw_os_error(23),
+        ] {
+            assert!(accept_error_is_transient(&transient), "{transient}");
+        }
+        for fatal in [
+            Error::from(ErrorKind::InvalidInput),
+            Error::from(ErrorKind::PermissionDenied),
+            Error::from(ErrorKind::WouldBlock),
+            Error::from_raw_os_error(9),
+        ] {
+            assert!(!accept_error_is_transient(&fatal), "{fatal}");
+        }
     }
 
     #[test]

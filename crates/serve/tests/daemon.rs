@@ -13,7 +13,7 @@ use serde::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xps_serve::{client, Server, ServerConfig, ShutdownHandle};
+use xps_serve::{client, Server, ServerConfig, ShutdownHandle, TcpTransport, Transport};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -324,6 +324,69 @@ fn bad_requests_and_unknown_jobs_get_typed_statuses() {
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A connection is served the moment it arrives: 100 sequential
+/// `/healthz` round trips take a fraction of a second, where a polled
+/// accept loop costs its poll interval on every one of them.
+#[test]
+fn round_trips_have_no_accept_floor() {
+    let dir = data_dir("floor");
+    let daemon = start(&dir);
+    let tcp = TcpTransport::default();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let resp = tcp
+            .roundtrip(
+                &daemon.addr,
+                "GET",
+                "/healthz",
+                None,
+                Duration::from_secs(5),
+                "",
+            )
+            .expect("healthz");
+        assert_eq!(resp.status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 /healthz round trips took {elapsed:?}"
+    );
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shutdown wakes an accept blocked with no traffic at all, on a
+/// loopback bind and on a bind to every interface (woken over
+/// loopback).
+#[test]
+fn shutdown_wakes_an_idle_accept() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let dir = data_dir("wake");
+        let mut config = ServerConfig::new(&dir);
+        config.addr = bind.to_string();
+        let server = Server::bind(&config).expect("bind");
+        let port = server.local_addr().expect("addr").port();
+        let handle = server.shutdown_handle();
+        let (done, returned) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let result = server.run();
+            let _ = done.send(());
+            result
+        });
+        // One answered request proves `run` is in its accept loop, so
+        // the shutdown below lands on a blocked `accept`.
+        let health = client::request(&format!("127.0.0.1:{port}"), "GET", "/healthz", None)
+            .expect("healthz");
+        assert_eq!(health.status, 200);
+        handle.shutdown();
+        returned
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("run() on {bind} still blocked 1 s after shutdown"));
+        thread.join().expect("run thread").expect("drained cleanly");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
