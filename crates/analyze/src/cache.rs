@@ -23,6 +23,7 @@ use crate::rules::FileClass;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
+use xps_core::explore::fnv64;
 
 /// Bump when the summary schema changes shape.
 const VERSION: u64 = 1;
@@ -30,34 +31,12 @@ const VERSION: u64 = 1;
 /// FNV-1a over the rule catalog: any rule addition/removal/rewording
 /// invalidates every cached summary.
 pub fn rules_fingerprint() -> u64 {
-    fnv64(crate::rules::catalog_markdown().as_bytes())
+    fnv64(0, crate::rules::catalog_markdown().as_bytes())
 }
 
 /// FNV-1a content hash for one cache entry.
 pub fn content_hash(crate_name: &str, relpath: &str, src: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in [
-        crate_name.as_bytes(),
-        b"\0",
-        relpath.as_bytes(),
-        b"\0",
-        src.as_bytes(),
-    ] {
-        for &b in part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64(0, format!("{crate_name}\0{relpath}\0{src}").as_bytes())
 }
 
 /// The on-disk cache: relpath → (content hash, summary).
@@ -524,6 +503,16 @@ fn fn_from_value(v: &Value) -> Option<FnSummary> {
 mod tests {
     use super::*;
     use crate::parse::summarize_file;
+
+    #[test]
+    fn content_hash_keeps_existing_caches_warm() {
+        // The FNV-1a value of `xps_core \0 src/lib.rs \0 fn main() {}\n`:
+        // a change here would silently cold-start every saved cache.
+        assert_eq!(
+            content_hash("xps_core", "src/lib.rs", "fn main() {}\n"),
+            0x3baf_3d3f_ee52_0c57
+        );
+    }
 
     #[test]
     fn summaries_round_trip_through_the_cache_file() {

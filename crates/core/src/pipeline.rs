@@ -55,6 +55,19 @@ impl Pipeline {
         }
     }
 
+    /// Seconds-scale settings for smoke runs: [`Pipeline::quick`] with
+    /// 8 anneal iterations, 3k/6k-op evaluations, 3 re-anneal
+    /// iterations and 8k-op matrix cells.
+    pub fn smoke() -> Pipeline {
+        let mut p = Pipeline::quick();
+        p.explore.anneal.iterations = 8;
+        p.explore.anneal.eval_ops_early = 3_000;
+        p.explore.anneal.eval_ops_late = 6_000;
+        p.explore.reanneal_iterations = 3;
+        p.matrix_ops = 8_000;
+        p
+    }
+
     /// Check every invariant of the pipeline options (including the
     /// nested exploration and annealing options), so a bad
     /// configuration is one typed error up front instead of a panic
@@ -389,6 +402,19 @@ impl Pipeline {
 mod tests {
     use super::*;
     use xps_workload::spec;
+
+    #[test]
+    fn smoke_pipeline_is_the_pinned_quick_budget() {
+        let p = Pipeline::smoke();
+        let mut expected = Pipeline::quick();
+        expected.explore.anneal.iterations = 8;
+        expected.explore.anneal.eval_ops_early = 3_000;
+        expected.explore.anneal.eval_ops_late = 6_000;
+        expected.explore.reanneal_iterations = 3;
+        expected.matrix_ops = 8_000;
+        assert_eq!(p, expected, "the pinned budget over the quick pipeline");
+        p.validate().expect("the smoke budget is a valid pipeline");
+    }
 
     #[test]
     fn quick_pipeline_three_workloads() {

@@ -58,14 +58,8 @@ pub struct StudyOptions {
 impl StudyOptions {
     /// Seconds-scale settings: CI smoke and demos.
     pub fn smoke() -> StudyOptions {
-        let mut pipeline = Pipeline::quick();
-        pipeline.explore.anneal.iterations = 8;
-        pipeline.explore.anneal.eval_ops_early = 3_000;
-        pipeline.explore.anneal.eval_ops_late = 6_000;
-        pipeline.explore.reanneal_iterations = 3;
-        pipeline.matrix_ops = 8_000;
         StudyOptions {
-            pipeline,
+            pipeline: Pipeline::smoke(),
             panel: 8,
             cores: 2,
             characterize_ops: 8_000,

@@ -65,15 +65,7 @@ impl Profile {
 
     pub(crate) fn pipeline(&self, jobs: usize) -> Pipeline {
         let mut p = match self {
-            Profile::Smoke => {
-                let mut p = Pipeline::quick();
-                p.explore.anneal.iterations = 8;
-                p.explore.anneal.eval_ops_early = 3_000;
-                p.explore.anneal.eval_ops_late = 6_000;
-                p.explore.reanneal_iterations = 3;
-                p.matrix_ops = 8_000;
-                p
-            }
+            Profile::Smoke => Pipeline::smoke(),
             Profile::Quick => Pipeline::quick(),
             Profile::Full => Pipeline::default(),
         };
