@@ -55,7 +55,7 @@ pub use xps_workload as workload;
 
 pub use error::PipelineError;
 pub use pipeline::{
-    cross_matrix, cross_matrix_recoverable, cross_matrix_with, measure, Pipeline, PipelineResult,
+    cross_matrix, cross_matrix_recoverable, cross_matrix_with, Pipeline, PipelineResult,
     PipelineStats, FAILED_CELL_IPT,
 };
 pub use report::{table7, Table7, Table7Row};

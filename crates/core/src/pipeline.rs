@@ -6,6 +6,7 @@
 
 use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
     merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, ExploreOptions,
@@ -115,11 +116,6 @@ pub struct PipelineResult {
     pub stats: PipelineStats,
 }
 
-/// Measure the IPT of `profile` on `config` over `ops` micro-ops.
-pub fn measure(profile: &WorkloadProfile, config: &CoreConfig, ops: u64) -> f64 {
-    xps_sim::evaluate(profile, config, ops).ipt()
-}
-
 /// Build a cross-configuration matrix by simulating every workload on
 /// every configuration, applying the paper's replacement rule until
 /// the diagonal dominates (or the pass budget runs out).
@@ -189,33 +185,48 @@ pub fn cross_matrix_recoverable(
         )));
     }
     let n = profiles.len();
-    let cell = |w: usize, cfg: &CoreConfig| match cache {
-        Some(cache) => cache.ipt(&profiles[w], cfg, ops),
-        None => measure(&profiles[w], cfg, ops),
-    };
-    let unwrap_cell = |item: Result<f64, xps_explore::TaskError>| match item {
-        Ok(v) => v,
-        // Already recorded in the context's failed-task list; degrade.
-        Err(_) => FAILED_CELL_IPT,
+    // The unit of work is a group task `(w, cols)`: workload `w` on
+    // the run of configurations `cols`, simulated in lock step over one
+    // produced trace (bit-identical to one evaluation per cell). Its
+    // wire description is pure (profile, configs, ops), so a
+    // dispatched group is bit-identical to the local measurement.
+    let run_groups = |label: &str, configs: &[CoreConfig], tasks: &[(usize, Range<usize>)]| {
+        ctx.run_fan_tasks(
+            jobs,
+            label,
+            tasks.len(),
+            |t| {
+                let (w, cols) = &tasks[t];
+                let group = &configs[cols.clone()];
+                Some(xps_explore::TaskSpec::eval(&profiles[*w], group, ops))
+            },
+            |t| {
+                let (w, cols) = &tasks[t];
+                let group = &configs[cols.clone()];
+                match cache {
+                    Some(cache) => cache.ipt_group(&profiles[*w], group, ops),
+                    None => xps_sim::evaluate_group(&profiles[*w], group, ops)
+                        .iter()
+                        .map(xps_sim::SimStats::ipt)
+                        .collect(),
+                }
+            },
+        )
     };
     let mut per_worker_tasks = Vec::new();
     let mut ipt = vec![vec![0.0f64; n]; n];
-    // Each cell's wire description: pure (profile, config, ops), so a
-    // dispatched cell is bit-identical to the local measurement.
-    let describe = |w: usize, cfg: &CoreConfig| xps_explore::TaskSpec::eval(&profiles[w], cfg, ops);
+    // One task per (row, column group). The groups are state-bounded
+    // (see `xps_sim::lockstep_groups`), so no task holds more
+    // simulator state than the largest single configuration would.
+    let groups = xps_sim::lockstep_groups(configs);
+    let tasks: Vec<(usize, Range<usize>)> = (0..n)
+        .flat_map(|w| groups.iter().map(move |g| (w, g.clone())))
+        .collect();
     let fill_phase = xps_trace::span("matrix.fill");
-    let fan = ctx.run_fan_tasks(
-        jobs,
-        "matrix",
-        n * n,
-        |t| Some(describe(t / n, &configs[t % n])),
-        |t| cell(t / n, &configs[t % n]),
-    )?;
+    let fan = run_groups("matrix", configs, &tasks)?;
     fill_phase.end_with(|| xps_trace::attr("cells", n * n));
     merge_counts(&mut per_worker_tasks, &fan.per_worker);
-    for (t, item) in fan.items.into_iter().enumerate() {
-        ipt[t / n][t % n] = unwrap_cell(item);
-    }
+    merge_groups(&mut ipt, &tasks, fan.items);
     let replace_phase = xps_trace::span("matrix.replace");
     let mut replacements = 0u64;
     for _ in 0..passes {
@@ -228,8 +239,9 @@ pub fn cross_matrix_recoverable(
                 .expect("non-empty row");
             if best != w && ipt[w][best] > ipt[w][w] {
                 // Adopt the better configuration as w's own; its row
-                // and column must be re-measured (one fan-out: the
-                // first n tasks are the row, the rest the column).
+                // and column must be re-measured in one fan-out: the
+                // row's lock-step groups, then each column cell as a
+                // group of one.
                 configs[w] = CoreConfig {
                     name: profiles[w].name.clone(),
                     ..configs[best].clone()
@@ -242,34 +254,14 @@ pub fn cross_matrix_recoverable(
                         ("from", profiles[best].name.as_str().into()),
                     ])
                 });
-                let fan = ctx.run_fan_tasks(
-                    jobs,
-                    "rematrix",
-                    2 * n,
-                    |t| {
-                        Some(if t < n {
-                            describe(w, &configs[t])
-                        } else {
-                            describe(t - n, &configs[w])
-                        })
-                    },
-                    |t| {
-                        if t < n {
-                            cell(w, &configs[t])
-                        } else {
-                            cell(t - n, &configs[w])
-                        }
-                    },
-                )?;
+                let tasks: Vec<(usize, Range<usize>)> = xps_sim::lockstep_groups(configs)
+                    .into_iter()
+                    .map(|g| (w, g))
+                    .chain((0..n).map(|t| (t, w..w + 1)))
+                    .collect();
+                let fan = run_groups("rematrix", configs, &tasks)?;
                 merge_counts(&mut per_worker_tasks, &fan.per_worker);
-                for (t, item) in fan.items.into_iter().enumerate() {
-                    let v = unwrap_cell(item);
-                    if t < n {
-                        ipt[w][t] = v;
-                    } else {
-                        ipt[t - n][w] = v;
-                    }
-                }
+                merge_groups(&mut ipt, &tasks, fan.items);
             }
         }
         if !changed {
@@ -285,6 +277,22 @@ pub fn cross_matrix_recoverable(
         .with_weights(profiles.iter().map(|p| p.weight).collect())
         .map_err(PipelineError::InvalidMatrix)?;
     Ok((matrix, per_worker_tasks))
+}
+
+/// Write each group task's IPTs into its cells of `ipt`. A group that
+/// failed every attempt is already listed in the run's failed tasks;
+/// each of its cells degrades to [`FAILED_CELL_IPT`].
+fn merge_groups(
+    ipt: &mut [Vec<f64>],
+    tasks: &[(usize, Range<usize>)],
+    items: Vec<Result<Vec<f64>, xps_explore::TaskError>>,
+) {
+    for ((w, cols), item) in tasks.iter().zip(items) {
+        let ipts = item.unwrap_or_else(|_| vec![FAILED_CELL_IPT; cols.len()]);
+        for (c, v) in cols.clone().zip(ipts) {
+            ipt[*w][c] = v;
+        }
+    }
 }
 
 impl Pipeline {
@@ -432,6 +440,27 @@ mod tests {
         for (i, core) in r.cores.iter().enumerate() {
             assert!((core.ipt - r.matrix.ipt(i, i)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn table4_columns_form_five_lockstep_groups() {
+        let cores = crate::paper::table4_configs();
+        let groups: Vec<Vec<&str>> = xps_sim::lockstep_groups(&cores)
+            .into_iter()
+            .map(|g| cores[g].iter().map(|c| c.name.as_str()).collect())
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                &["bzip"][..],
+                &["crafty", "gap"],
+                &["gcc"],
+                &["gzip", "mcf"],
+                &["parser", "perl", "twolf", "vortex", "vpr"],
+            ],
+            "gcc's 40,960 cache lines bound every group"
+        );
+        assert_eq!(xps_sim::cache_state_bytes(&cores[3]), 40_960 * 12);
     }
 
     #[test]

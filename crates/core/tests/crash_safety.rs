@@ -9,10 +9,14 @@
 //! * a permanently failing task degrades the run instead of aborting
 //!   it, and is reported by name.
 
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use xps_core::explore::{FaultKind, FaultPlan, Journal, RunContext};
-use xps_core::pipeline::{Pipeline, PipelineResult};
+use xps_core::explore::{
+    fnv64, ExploreError, FaultKind, FaultPlan, Journal, JournalError, RunContext,
+};
+use xps_core::pipeline::{cross_matrix_recoverable, Pipeline, PipelineResult};
 use xps_core::workload::{spec, WorkloadProfile};
+use xps_core::{paper, PipelineError};
 
 fn profiles() -> Vec<WorkloadProfile> {
     ["gzip", "mcf", "crafty"]
@@ -133,13 +137,25 @@ fn permanent_matrix_failures_degrade_and_are_reported() {
     let rec = &r.stats.recovery;
     assert!(
         rec.failed_tasks.iter().all(|t| t.starts_with("matrix#")),
-        "only matrix cells were targeted: {:?}",
+        "only matrix tasks were targeted: {:?}",
         rec.failed_tasks
     );
+    // No cell can win a replacement, so the configurations are the
+    // explored ones and the fan was one task per (row, column group).
+    let configs: Vec<_> = r.cores.iter().map(|c| c.config.clone()).collect();
+    let groups = xps_core::sim::lockstep_groups(&configs);
+    let mut expected: Vec<String> = (0..p.len() * groups.len())
+        .map(|t| {
+            let fan = rec.failed_tasks[0].split(['#', '/']).nth(1).expect("fan");
+            format!("matrix#{fan}/{t}")
+        })
+        .collect();
+    let mut failed = rec.failed_tasks.clone();
+    failed.sort();
+    expected.sort();
     assert_eq!(
-        rec.failed_tasks.len(),
-        p.len() * p.len(),
-        "every cell of the first matrix fan failed"
+        failed, expected,
+        "every group task of the matrix fan is listed"
     );
     for w in 0..r.matrix.len() {
         for c in 0..r.matrix.len() {
@@ -150,4 +166,163 @@ fn permanent_matrix_failures_degrade_and_are_reported() {
             );
         }
     }
+}
+
+/// The lock-step matrix at a streamed length (past the replay cache,
+/// so each group task drives its cores from one generator) is
+/// byte-identical for any worker count, clean and under injected
+/// faults.
+#[test]
+fn streamed_group_matrix_is_identical_across_jobs_and_faults() {
+    let names = ["gzip", "mcf", "crafty", "gcc"];
+    let profiles: Vec<WorkloadProfile> = names
+        .iter()
+        .map(|n| spec::profile(n).expect("known benchmark"))
+        .collect();
+    let cores: Vec<_> = names
+        .iter()
+        .map(|n| paper::table4_config(n).expect("Table 4 core"))
+        .collect();
+    assert!(
+        xps_core::sim::lockstep_groups(&cores)
+            .iter()
+            .any(|g| g.len() > 1),
+        "the inputs must form a multi-core group"
+    );
+    let run = |jobs: usize, ctx: RunContext| {
+        let mut configs = cores.clone();
+        let (m, _) = cross_matrix_recoverable(&profiles, &mut configs, 70_000, 2, jobs, None, &ctx)
+            .expect("matrix");
+        let rec = ctx.stats();
+        assert!(rec.failed_tasks.is_empty());
+        (
+            serde_json::to_string(&(m, configs)).expect("serializes"),
+            rec.faults_injected,
+        )
+    };
+    let (reference, _) = run(1, RunContext::new());
+    for jobs in [1, 2, 4] {
+        assert_eq!(
+            run(jobs, RunContext::new()).0,
+            reference,
+            "clean, jobs {jobs}"
+        );
+        let faulted = RunContext::new()
+            .with_faults(FaultPlan::rate(30, 11, 1, FaultKind::Panic))
+            .with_retries(2);
+        let (doc, injected) = run(jobs, faulted);
+        assert!(injected > 0, "the plan must fire");
+        assert_eq!(doc, reference, "faulted, jobs {jobs}");
+    }
+}
+
+/// One journal record, as persisted.
+#[derive(Serialize, Deserialize)]
+struct Record {
+    task: String,
+    crc: String,
+    value: String,
+}
+
+/// Rewrite each journal record's value with `edit(task, value)`,
+/// re-checksummed so the journal still opens.
+fn rewrite_journal(text: &str, edit: impl Fn(&str, &str) -> String) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        let mut r: Record = serde_json::from_str(line).expect("journal record");
+        r.value = edit(&r.task, &r.value);
+        r.crc = format!(
+            "{:016x}",
+            fnv64(fnv64(0, r.task.as_bytes()), r.value.as_bytes())
+        );
+        out.push_str(&serde_json::to_string(&r).expect("serializes"));
+        out.push('\n');
+    }
+    out
+}
+
+/// Rewrite the eval records whose task key starts with one of
+/// `labels` into the form the single-cell eval task journaled: one
+/// bare IPT instead of a group's array.
+fn as_single_cell_journal(text: &str, labels: &[&str]) -> String {
+    rewrite_journal(text, |task, value| {
+        if labels.iter().any(|l| task.starts_with(l)) && value.starts_with('[') {
+            let first = value[1..].split([',', ']']).next().expect("an element");
+            first.to_string()
+        } else {
+            value.to_string()
+        }
+    })
+}
+
+/// A journal of single-cell eval records (the format before eval
+/// tasks carried groups) never resumes into a wrong value: its
+/// records fail to decode as group results, which is the typed
+/// `JournalError::Corrupt`.
+#[test]
+fn single_cell_eval_journal_fails_to_resume_as_corrupt() {
+    let p = profiles();
+    let path = tmp("single-cell");
+    let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
+    mini(2).run_recoverable(&p, &ctx).expect("journaled run");
+    drop(ctx.take_journal());
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    // Every eval fan in the old form fails at the first cross-seeding
+    // record; with only the matrix in the old form, the seed fans
+    // resume and the matrix fan fails.
+    for labels in [&["seed#", "matrix#", "rematrix#"][..], &["matrix#"][..]] {
+        std::fs::write(&path, as_single_cell_journal(&text, labels)).expect("rewrite");
+        let ctx = RunContext::new().with_journal(Journal::open(&path).expect("checksums hold"));
+        match mini(2).run_recoverable(&p, &ctx) {
+            Err(PipelineError::Explore(ExploreError::Journal(JournalError::Corrupt {
+                detail,
+                ..
+            }))) => assert!(
+                detail.contains(labels[0]),
+                "the first old-form fan is named: {detail}"
+            ),
+            other => panic!("resumed {labels:?} as {:?}", other.map(|r| r.matrix)),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A group record of the wrong length (as a journal written under
+/// other options or another column partition can hold) deserializes
+/// as a group result, but is not its task's shape: resume fails as
+/// `JournalError::Corrupt` naming the task, never merging too few
+/// values into the matrix.
+#[test]
+fn truncated_group_record_fails_to_resume_as_corrupt() {
+    let p = profiles();
+    let path = tmp("truncated-group");
+    let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
+    mini(2).run_recoverable(&p, &ctx).expect("journaled run");
+    drop(ctx.take_journal());
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    // Drop the last IPT of the first matrix group.
+    let victim = text
+        .lines()
+        .map(|l| serde_json::from_str::<Record>(l).expect("journal record"))
+        .find(|r| r.task.starts_with("matrix#"))
+        .expect("a matrix group record")
+        .task;
+    let truncated = rewrite_journal(&text, |task, value| {
+        if task == victim {
+            let cut = value.rfind(',').unwrap_or(1);
+            format!("{}]", &value[..cut])
+        } else {
+            value.to_string()
+        }
+    });
+    std::fs::write(&path, truncated).expect("rewrite");
+    let ctx = RunContext::new().with_journal(Journal::open(&path).expect("checksums hold"));
+    match mini(2).run_recoverable(&p, &ctx) {
+        Err(PipelineError::Explore(ExploreError::Journal(JournalError::Corrupt {
+            detail,
+            ..
+        }))) => assert!(detail.contains(&victim), "names the task: {detail}"),
+        other => panic!("resumed a truncated group as {:?}", other.map(|r| r.matrix)),
+    }
+    let _ = std::fs::remove_file(&path);
 }

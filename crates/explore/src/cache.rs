@@ -33,6 +33,16 @@ struct EvalKey {
     ops: u64,
 }
 
+impl EvalKey {
+    fn new(profile_fp: u64, cfg: &CoreConfig, ops: u64) -> EvalKey {
+        EvalKey {
+            profile_fp,
+            cfg: cfg.canonical_key(),
+            ops,
+        }
+    }
+}
+
 /// Hit/miss counters of an [`EvalCache`], cheap to copy into summaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheCounters {
@@ -90,46 +100,119 @@ impl EvalCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Simulate `profile` on `cfg` for `ops` micro-ops, or return the
-    /// memoized result of an identical earlier evaluation.
-    pub fn stats(&self, profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
-        let key = EvalKey {
-            profile_fp: profile.fingerprint(),
-            cfg: cfg.canonical_key(),
-            ops,
-        };
+    /// One lookup of `key`: the memoized stats on a hit, `None` on a
+    /// miss (which the caller simulates and [`store`](Self::store)s).
+    fn probe(&self, key: &EvalKey) -> Option<SimStats> {
+        let hit = self
+            .shard(key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned();
+        self.note_lookup(key, hit.is_some());
+        hit
+    }
+
+    /// Count and trace one lookup of `key` and its outcome.
+    fn note_lookup(&self, key: &EvalKey, hit: bool) {
         // The *lookup* is deterministic per task (how many evaluations
         // a walk asks for never depends on scheduling), so it may live
         // in the trace journal; whether it *hits* depends on which
         // racing worker populated the shared cache first, so the
         // outcome below is recorded volatile-only.
-        xps_trace::instant("cache.lookup", || xps_trace::attr("ops", ops));
-        let shard = self.shard(&key);
-        if let Some(stats) = shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+        xps_trace::instant("cache.lookup", || xps_trace::attr("ops", key.ops));
+        if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             xps_trace::instant_volatile("cache.hit", xps_trace::Attrs::new);
-            return stats.clone();
+        } else {
+            xps_trace::instant_volatile("cache.miss", xps_trace::Attrs::new);
         }
-        // Simulate outside the lock; if two workers race on the same
-        // key they both compute the same value and one insert wins.
-        xps_trace::instant_volatile("cache.miss", xps_trace::Attrs::new);
-        let stats = xps_sim::evaluate(profile, cfg, ops);
+    }
+
+    /// Record a miss's fresh simulation. If two workers raced on the
+    /// same key they both computed the same value and one insert wins.
+    fn store(&self, key: EvalKey, stats: &SimStats) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
+        self.shard(&key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert_with(|| stats.clone());
-        stats
+    }
+
+    /// Simulate `profile` on `cfg` for `ops` micro-ops, or return the
+    /// memoized result of an identical earlier evaluation.
+    /// The one-configuration case of [`stats_group`](Self::stats_group).
+    pub fn stats(&self, profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+        self.stats_group(profile, std::slice::from_ref(cfg), ops)
+            .swap_remove(0)
+    }
+
+    /// Memoized stats of each of `configs` on one workload, in order:
+    /// one lookup per configuration, and every miss of the group
+    /// simulated together (outside any lock) by one
+    /// [`xps_sim::evaluate_group`] call, so the group's trace is
+    /// produced once. Item `k` is bit-identical to a fresh
+    /// simulation of `configs[k]`.
+    pub fn stats_group(
+        &self,
+        profile: &WorkloadProfile,
+        configs: &[CoreConfig],
+        ops: u64,
+    ) -> Vec<SimStats> {
+        let fp = profile.fingerprint();
+        let keys: Vec<EvalKey> = configs.iter().map(|c| EvalKey::new(fp, c, ops)).collect();
+        // A key repeated within the group is served by its first
+        // occurrence, as the cache serves it to a serial sweep: a hit,
+        // never a second simulation.
+        let first = |k: usize| keys.iter().position(|j| *j == keys[k]).unwrap_or(k);
+        let mut out: Vec<Option<SimStats>> = Vec::with_capacity(keys.len());
+        for (k, key) in keys.iter().enumerate() {
+            if first(k) == k {
+                out.push(self.probe(key));
+            } else {
+                self.note_lookup(key, true);
+                out.push(None);
+            }
+        }
+        let missed: Vec<usize> = (0..keys.len())
+            .filter(|&k| first(k) == k && out[k].is_none())
+            .collect();
+        if !missed.is_empty() {
+            let group: Vec<CoreConfig> = missed.iter().map(|&k| configs[k].clone()).collect();
+            let fresh = xps_sim::evaluate_group(profile, &group, ops);
+            for (k, stats) in missed.into_iter().zip(fresh) {
+                self.store(keys[k], &stats);
+                out[k] = Some(stats);
+            }
+        }
+        (0..keys.len())
+            .map(|k| {
+                out[first(k)]
+                    .clone()
+                    // xps-allow(no-unwrap-in-lib): every first occurrence was a hit or one of the misses just simulated
+                    .expect("every first occurrence filled")
+            })
+            .collect()
     }
 
     /// Memoized IPT (instructions per nanosecond) of `cfg` on `profile`.
     pub fn ipt(&self, profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> f64 {
         self.stats(profile, cfg, ops).ipt()
+    }
+
+    /// Memoized IPTs of each of `configs` on `profile`, in order (see
+    /// [`stats_group`](Self::stats_group)).
+    pub fn ipt_group(
+        &self,
+        profile: &WorkloadProfile,
+        configs: &[CoreConfig],
+        ops: u64,
+    ) -> Vec<f64> {
+        self.stats_group(profile, configs, ops)
+            .iter()
+            .map(SimStats::ipt)
+            .collect()
     }
 
     /// Snapshot of the hit/miss counters.
@@ -212,6 +295,26 @@ mod tests {
         let c = cache.counters();
         assert_eq!(c.hits + c.misses, 5);
         assert_eq!(c.misses, 1);
+    }
+
+    #[test]
+    fn group_lookups_match_scalar_lookups() {
+        let cache = EvalCache::new();
+        let p = spec::profile("gzip").expect("gzip exists");
+        let initial = CoreConfig::initial();
+        let mut renamed = initial.clone();
+        renamed.name = "same-design".to_string();
+        let mut narrow = initial.clone();
+        narrow.width = 1;
+        cache.stats(&p, &narrow, OPS);
+        // One lookup per member; the renamed repeat is served by its
+        // first occurrence, and only `initial` is simulated.
+        let group = cache.stats_group(&p, &[initial.clone(), narrow.clone(), renamed], OPS);
+        assert_eq!(cache.counters(), CacheCounters { hits: 2, misses: 2 });
+        let fresh = EvalCache::new();
+        assert_eq!(group[0], fresh.stats(&p, &initial, OPS));
+        assert_eq!(group[1], fresh.stats(&p, &narrow, OPS));
+        assert_eq!(group[2], group[0]);
     }
 
     #[test]

@@ -357,28 +357,28 @@ impl Campaign {
                     results.len(),
                     |j| {
                         // The diagonal (i == j) is a constant `None`
-                        // cell — nothing to run remotely. A worker's
-                        // bare-f64 response deserializes into
-                        // `Option<f64>` as `Some`, matching the local
-                        // closure's value.
+                        // cell — nothing to run remotely. Every other
+                        // item is an eval group of one, and the local
+                        // closure answers with the same cache call a
+                        // worker makes, so a worker's `[ipt]` response
+                        // deserializes into the identical
+                        // `Some(vec![ipt])`.
                         (i != j).then(|| {
                             crate::task::TaskSpec::eval(
                                 &profiles[i],
-                                &results[j].config,
+                                std::slice::from_ref(&results[j].config),
                                 self.opts.anneal.eval_ops_late,
                             )
                         })
                     },
                     |j| {
-                        if i == j {
-                            None
-                        } else {
-                            Some(cache.ipt(
+                        (i != j).then(|| {
+                            cache.ipt_group(
                                 &profiles[i],
-                                &results[j].config,
+                                std::slice::from_ref(&results[j].config),
                                 self.opts.anneal.eval_ops_late,
-                            ))
-                        }
+                            )
+                        })
                     },
                 )?;
                 merge_counts(&mut per_worker_tasks, &cross.per_worker);
@@ -386,7 +386,9 @@ impl Campaign {
                 for (j, item) in cross.items.into_iter().enumerate() {
                     // A permanently failed evaluation skips candidate
                     // j — degraded, and recorded in the stats.
-                    let Ok(Some(ipt)) = item else { continue };
+                    let Ok(Some(&[ipt])) = item.as_ref().map(|v| v.as_deref()) else {
+                        continue;
+                    };
                     if ipt > results[i].ipt && best_foreign.map(|(_, b)| ipt > b).unwrap_or(true) {
                         best_foreign = Some((j, ipt));
                     }

@@ -80,7 +80,7 @@ pub use search::{
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,
 };
 pub use stats::EngineStats;
-pub use task::{TaskDispatcher, TaskKind, TaskSpec};
+pub use task::{TaskDispatcher, TaskKind, TaskSpec, TaskSpecError};
 pub use xps_trace::{ProgressEvent, ProgressSink};
 
 /// Re-exported fixed design constants (the paper's Table 2).

@@ -306,12 +306,20 @@ impl RunContext {
                 let key = key_of(i);
                 match journal.get(&key) {
                     Some(json) => {
-                        let value: T =
-                            serde_json::from_str(&json).map_err(|e| JournalError::Corrupt {
-                                path: journal.path().to_path_buf(),
-                                line: 0,
-                                detail: format!("task `{key}` does not deserialize: {e}"),
-                            })?;
+                        let corrupt = |detail: String| JournalError::Corrupt {
+                            path: journal.path().to_path_buf(),
+                            line: 0,
+                            detail: format!("task `{key}` {detail}"),
+                        };
+                        let value: T = serde_json::from_str(&json)
+                            .map_err(|e| corrupt(format!("does not deserialize: {e}")))?;
+                        // The journal carries no run identity: a record
+                        // from other options or another partition can
+                        // deserialize yet be the wrong shape (an eval
+                        // group of another size), which must not merge.
+                        if describe(i).is_some_and(|spec| !spec.result_fits(&json)) {
+                            return Err(corrupt("is not its task's result shape".into()).into());
+                        }
                         self.salvaged.fetch_add(1, Ordering::Relaxed);
                         // Salvages happen serially on the caller
                         // thread, so this instant lands on the edge
@@ -773,13 +781,13 @@ mod tests {
 
     fn eval_spec(ops: u64) -> crate::task::TaskSpec {
         let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-        crate::task::TaskSpec::eval(&profile, &xps_sim::CoreConfig::initial(), ops)
+        crate::task::TaskSpec::eval(&profile, &[xps_sim::CoreConfig::initial()], ops)
     }
 
     #[test]
     fn dispatched_fan_is_byte_identical_to_local_fan() {
         let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-        let config = xps_sim::CoreConfig::initial();
+        let config = [xps_sim::CoreConfig::initial()];
         let run = |dispatcher: Option<Arc<dyn crate::task::TaskDispatcher>>| {
             let cache = crate::cache::EvalCache::new();
             let mut ctx = RunContext::new();
@@ -792,10 +800,10 @@ mod tests {
                     "cell",
                     4,
                     |i| Some(eval_spec(1_000 + 500 * i as u64)),
-                    |i| cache.ipt(&profile, &config, 1_000 + 500 * i as u64),
+                    |i| cache.ipt_group(&profile, &config, 1_000 + 500 * i as u64),
                 )
                 .expect("fan");
-            let values: Vec<f64> = fan.items.into_iter().map(|r| r.expect("ok")).collect();
+            let values: Vec<Vec<f64>> = fan.items.into_iter().map(|r| r.expect("ok")).collect();
             (values, ctx.remote_dispatched(), ctx.stats().executed)
         };
         let dispatcher = Arc::new(InProcessDispatcher::default());
@@ -820,14 +828,14 @@ mod tests {
             });
             let ctx = RunContext::new().with_dispatcher(dispatcher);
             let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-            let config = xps_sim::CoreConfig::initial();
+            let config = [xps_sim::CoreConfig::initial()];
             let fan = ctx
                 .run_fan_tasks(
                     1,
                     "cell",
                     3,
                     |_| Some(eval_spec(2_000)),
-                    |_| cache.ipt(&profile, &config, 2_000),
+                    |_| cache.ipt_group(&profile, &config, 2_000),
                 )
                 .expect("fan");
             assert!(fan.items.iter().all(|r| r.is_ok()));

@@ -1,12 +1,12 @@
 //! Wire-format task descriptions: the exploration DAG, exported.
 //!
 //! Every expensive unit of work the pipeline fans out — an annealing
-//! walk from one start, one cross-seeding or matrix-cell evaluation —
-//! is a pure function of a small, serializable description. A
-//! [`TaskSpec`] is that description: shipped to a fleet worker it
-//! reproduces *exactly* the value the local closure would have
-//! computed, because both sides run the same deterministic engine on
-//! the same inputs. That equivalence is what lets a coordinator
+//! walk from one start, one cross-seeding evaluation, one matrix row
+//! on a lock-step group of cores — is a pure function of a small,
+//! serializable description. A [`TaskSpec`] is that description:
+//! shipped to a fleet worker it reproduces *exactly* the value the
+//! local closure would have computed, because both sides run the same
+//! deterministic engine on the same inputs. That equivalence is what lets a coordinator
 //! scatter tasks over the wire and still gather a byte-identical
 //! result for any worker count, topology, or failure schedule: a task
 //! that cannot be dispatched (no healthy worker, exhausted retries,
@@ -36,8 +36,10 @@ pub enum TaskKind {
     /// A full annealing walk from one start point (`anneal` and
     /// `reanneal` fan items).
     Anneal,
-    /// One IPT evaluation of a workload on a configuration (`seed`,
-    /// `matrix`, and `rematrix` fan items).
+    /// IPT evaluations of a workload on a group of configurations,
+    /// stepped in lock step over one trace (`seed`, `matrix`, and
+    /// `rematrix` fan items; `seed` and the `rematrix` column half send
+    /// groups of one).
     Eval,
     /// One budgeted portfolio search — one explorer against one
     /// workload (`bakeoff` fan items).
@@ -65,8 +67,9 @@ pub struct TaskSpec {
     /// Technology point the anneal realizes against
     /// ([`TaskKind::Anneal`] only).
     pub tech: Option<Technology>,
-    /// The configuration to evaluate on ([`TaskKind::Eval`] only).
-    pub config: Option<CoreConfig>,
+    /// The group of configurations to evaluate on, in result order
+    /// ([`TaskKind::Eval`] only; empty for the other kinds).
+    pub configs: Vec<CoreConfig>,
     /// Registry name of the search strategy ([`TaskKind::Search`]
     /// only).
     pub explorer: Option<String>,
@@ -93,22 +96,23 @@ impl TaskSpec {
             start: Some(start.clone()),
             opts: Some(opts.clone()),
             tech: Some(tech.clone()),
-            config: None,
+            configs: Vec::new(),
             explorer: None,
             search: None,
             ops: 0,
         }
     }
 
-    /// Describe one IPT evaluation.
-    pub fn eval(profile: &WorkloadProfile, config: &CoreConfig, ops: u64) -> TaskSpec {
+    /// Describe the IPT evaluations of `profile` on each of `configs`;
+    /// the result is one IPT per configuration, in order.
+    pub fn eval(profile: &WorkloadProfile, configs: &[CoreConfig], ops: u64) -> TaskSpec {
         TaskSpec {
             kind: TaskKind::Eval,
             profile: profile.clone(),
             start: None,
             opts: None,
             tech: None,
-            config: Some(config.clone()),
+            configs: configs.to_vec(),
             explorer: None,
             search: None,
             ops,
@@ -128,7 +132,7 @@ impl TaskSpec {
             start: None,
             opts: None,
             tech: Some(tech.clone()),
-            config: None,
+            configs: Vec::new(),
             explorer: Some(explorer.to_string()),
             search: Some(opts.clone()),
             ops: 0,
@@ -144,56 +148,124 @@ impl TaskSpec {
         serde_json::to_string(self).expect("task specs serialize to JSON")
     }
 
+    /// Whether `body` has the shape of this task's result: for an eval
+    /// group, one IPT per configuration. A worker's answer that fails
+    /// this is a bad response, never a result to merge.
+    pub fn result_fits(&self, body: &str) -> bool {
+        match self.kind {
+            TaskKind::Eval => serde_json::from_str::<Vec<f64>>(body)
+                .is_ok_and(|ipts| ipts.len() == self.configs.len()),
+            TaskKind::Anneal | TaskKind::Search => true,
+        }
+    }
+
     /// Run the task and serialize its result — the exact JSON the
     /// local fan closure's result would journal, so a dispatched
     /// result deserializes into the identical in-memory value.
     ///
     /// # Errors
     ///
-    /// Returns a one-line description when the spec is incoherent
-    /// (missing payload for its kind) or invalid (bad annealing
-    /// options). Execution itself is infallible: the engine is total
-    /// over validated inputs.
-    pub fn execute(&self, cache: &EvalCache) -> Result<String, String> {
+    /// Returns a [`TaskSpecError`] when the spec is incoherent
+    /// (missing payload for its kind) or invalid (an empty or invalid
+    /// configuration group, a zero op budget, bad options). A spec may
+    /// come off the network, so nothing in it is trusted before this
+    /// check. Execution itself is infallible: the engine is total over
+    /// validated inputs.
+    pub fn execute(&self, cache: &EvalCache) -> Result<String, TaskSpecError> {
         match self.kind {
             TaskKind::Anneal => {
                 let (Some(start), Some(opts), Some(tech)) = (&self.start, &self.opts, &self.tech)
                 else {
-                    return Err("anneal task missing start/opts/tech".into());
+                    return Err(TaskSpecError::MissingPayload("anneal: start/opts/tech"));
                 };
-                opts.validate().map_err(|e| e.to_string())?;
+                opts.validate()
+                    .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
                 let result = anneal_with(&self.profile, start, opts, tech, Some(cache));
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
                 Ok(serde_json::to_string(&result).expect("task results serialize to JSON"))
             }
             TaskKind::Eval => {
-                let Some(config) = &self.config else {
-                    return Err("eval task missing config".into());
-                };
-                if self.ops == 0 {
-                    return Err("eval task needs ops >= 1".into());
+                if self.configs.is_empty() {
+                    return Err(TaskSpecError::EmptyGroup);
                 }
-                config.validate().map_err(|e| e.to_string())?;
-                let ipt = cache.ipt(&self.profile, config, self.ops);
-                // xps-allow(no-unwrap-in-lib): a measured IPT is a finite f64; serialization cannot fail
-                Ok(serde_json::to_string(&ipt).expect("task results serialize to JSON"))
+                if self.ops == 0 {
+                    return Err(TaskSpecError::ZeroOps);
+                }
+                for (index, config) in self.configs.iter().enumerate() {
+                    config
+                        .validate()
+                        .map_err(|detail| TaskSpecError::InvalidConfig { index, detail })?;
+                }
+                // A group off the network may be of any size: split it
+                // by the same state bound the coordinator uses, so it
+                // never holds more live simulator state than one lone
+                // simulator of its largest member. A coordinator's
+                // group is already one such run and executes unchanged.
+                let ipts: Vec<f64> = xps_sim::lockstep_groups(&self.configs)
+                    .into_iter()
+                    .flat_map(|g| cache.ipt_group(&self.profile, &self.configs[g], self.ops))
+                    .collect();
+                // xps-allow(no-unwrap-in-lib): measured IPTs are finite f64s; serialization cannot fail
+                Ok(serde_json::to_string(&ipts).expect("task results serialize to JSON"))
             }
             TaskKind::Search => {
                 let (Some(name), Some(opts), Some(tech)) =
                     (&self.explorer, &self.search, &self.tech)
                 else {
-                    return Err("search task missing explorer/search/tech".into());
+                    return Err(TaskSpecError::MissingPayload(
+                        "search: explorer/search/tech",
+                    ));
                 };
-                let explorer =
-                    explorer_by_name(name).ok_or_else(|| format!("unknown explorer {name:?}"))?;
+                let explorer = explorer_by_name(name)
+                    .ok_or_else(|| TaskSpecError::UnknownExplorer(name.clone()))?;
                 let outcome = crate::search::search(&*explorer, &self.profile, tech, opts, cache)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
                 Ok(serde_json::to_string(&outcome).expect("task results serialize to JSON"))
             }
         }
     }
 }
+
+/// Why [`TaskSpec::execute`] refused a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TaskSpecError {
+    /// The payload its kind needs is missing (names the fields).
+    MissingPayload(&'static str),
+    /// An eval spec with no configuration to evaluate.
+    EmptyGroup,
+    /// An eval spec with a zero op budget.
+    ZeroOps,
+    /// Configuration `index` of an eval spec fails
+    /// [`CoreConfig::validate`].
+    InvalidConfig {
+        /// Position of the offending configuration in the group.
+        index: usize,
+        /// The violated constraint.
+        detail: String,
+    },
+    /// Annealing or search options violate an invariant.
+    InvalidOptions(String),
+    /// A search spec names no registered explorer.
+    UnknownExplorer(String),
+}
+
+impl std::fmt::Display for TaskSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TaskSpecError::MissingPayload(fields) => write!(f, "{fields} missing"),
+            TaskSpecError::EmptyGroup => write!(f, "eval task has no configs"),
+            TaskSpecError::ZeroOps => write!(f, "eval task needs ops >= 1"),
+            TaskSpecError::InvalidConfig { index, detail } => {
+                write!(f, "eval config {index} invalid: {detail}")
+            }
+            TaskSpecError::InvalidOptions(detail) => write!(f, "invalid options: {detail}"),
+            TaskSpecError::UnknownExplorer(name) => write!(f, "unknown explorer {name:?}"),
+        }
+    }
+}
+
+impl std::error::Error for TaskSpecError {}
 
 /// The remote-execution seam of the recovery layer.
 ///
@@ -224,7 +296,7 @@ mod tests {
 
     #[test]
     fn canonical_round_trips_and_is_stable() {
-        let t = TaskSpec::eval(&gzip(), &CoreConfig::initial(), 5_000);
+        let t = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], 5_000);
         let json = t.canonical();
         let back: TaskSpec = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back.canonical(), json, "canonicalization is a fixpoint");
@@ -232,22 +304,33 @@ mod tests {
         assert_eq!(back.ops, 5_000);
     }
 
+    fn narrow() -> CoreConfig {
+        let mut c = CoreConfig::initial();
+        c.name = "narrow".into();
+        c.width = 1;
+        c.rob_size = 32;
+        c.iq_size = 8;
+        c
+    }
+
     #[test]
     fn eval_execute_matches_local_evaluation() {
-        let cache = EvalCache::new();
-        let config = CoreConfig::initial();
-        let t = TaskSpec::eval(&gzip(), &config, 4_000);
-        let remote = t.execute(&cache).expect("executes");
-        let local = cache.ipt(&gzip(), &config, 4_000);
-        let back: f64 = serde_json::from_str(&remote).expect("f64 body");
+        let group = [CoreConfig::initial(), narrow(), CoreConfig::initial()];
+        let t = TaskSpec::eval(&gzip(), &group, 4_000);
+        let remote = t.execute(&EvalCache::new()).expect("executes");
+        let back: Vec<f64> = serde_json::from_str(&remote).expect("Vec<f64> body");
+        let fresh = EvalCache::new();
+        let local: Vec<f64> = group.iter().map(|c| fresh.ipt(&gzip(), c, 4_000)).collect();
         assert!(
             back == local,
-            "remote must be bit-identical: {back} vs {local}"
+            "remote must be bit-identical to one evaluation per config: {back:?} vs {local:?}"
         );
-        // And the wire JSON deserializes into Option<f64> too (the
-        // `seed` fan's item type).
-        let opt: Option<f64> = serde_json::from_str(&remote).expect("Option<f64> body");
-        assert_eq!(opt, Some(local));
+        // A group of one deserializes into the `seed` fan's item type
+        // `Option<Vec<f64>>` as `Some`, matching its local closure.
+        let one = TaskSpec::eval(&gzip(), &group[1..2], 4_000);
+        let opt: Option<Vec<f64>> =
+            serde_json::from_str(&one.execute(&fresh).expect("executes")).expect("body");
+        assert_eq!(opt, Some(vec![local[1]]));
     }
 
     #[test]
@@ -306,9 +389,24 @@ mod tests {
 
     #[test]
     fn incoherent_specs_are_typed_errors() {
-        let mut t = TaskSpec::eval(&gzip(), &CoreConfig::initial(), 1_000);
-        t.config = None;
-        assert!(t.execute(&EvalCache::new()).is_err());
+        let cache = EvalCache::new();
+        let t = TaskSpec::eval(&gzip(), &[], 1_000);
+        assert_eq!(t.execute(&cache), Err(TaskSpecError::EmptyGroup));
+        let mut bad = narrow();
+        bad.iq_size = 64;
+        let t = TaskSpec::eval(&gzip(), &[CoreConfig::initial(), bad], 1_000);
+        assert!(
+            matches!(
+                t.execute(&cache),
+                Err(TaskSpecError::InvalidConfig { index: 1, .. })
+            ),
+            "the invalid member is named by position"
+        );
+        assert_eq!(
+            cache.counters().misses,
+            0,
+            "a rejected group simulates nothing"
+        );
         let mut a = TaskSpec::anneal(
             &gzip(),
             &DesignPoint::initial(),
@@ -317,8 +415,7 @@ mod tests {
         );
         a.opts = None;
         assert!(a.execute(&EvalCache::new()).is_err());
-        let mut z = TaskSpec::eval(&gzip(), &CoreConfig::initial(), 0);
-        z.ops = 0;
-        assert!(z.execute(&EvalCache::new()).is_err());
+        let z = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], 0);
+        assert_eq!(z.execute(&cache), Err(TaskSpecError::ZeroOps));
     }
 }

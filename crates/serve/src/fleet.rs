@@ -14,6 +14,9 @@
 //!
 //! * every round-trip has connect/read/write deadlines (a hung worker
 //!   surfaces as a timeout, never a wedged pool slot);
+//! * a task's first attempt goes to a worker chosen by a hash of its
+//!   canonical spec, so a repeated task lands where its result is
+//!   already stored;
 //! * failed dispatches retry on the next healthy worker, bounded by
 //!   [`FleetConfig::retries`], with deterministic exponential backoff
 //!   plus seeded jitter — the backoff schedule is a pure function of
@@ -131,8 +134,6 @@ struct FleetInner {
     cfg: FleetConfig,
     transport: Arc<dyn Transport>,
     workers: Vec<WorkerState>,
-    /// Round-robin cursor over the healthy subset.
-    cursor: AtomicU64,
     dispatched: AtomicU64,
     retried: AtomicU64,
     degraded: AtomicU64,
@@ -143,17 +144,22 @@ struct FleetInner {
 }
 
 impl FleetInner {
-    /// The next worker in round-robin order among the non-quarantined,
-    /// or `None` when every worker is quarantined.
-    fn pick_healthy(&self) -> Option<usize> {
+    /// The worker for attempt `attempt` of a task whose canonical spec
+    /// hashes to `home`, among the non-quarantined, or `None` when
+    /// every worker is quarantined. The first attempt goes to the
+    /// spec's home slot and each retry to the next healthy worker
+    /// after it: placement depends on the spec alone, never on what
+    /// was dispatched before, so a repeated task finds the worker
+    /// whose store already holds its result.
+    fn pick_healthy(&self, home: u64, attempt: u32) -> Option<usize> {
         let healthy: Vec<usize> = (0..self.workers.len())
             .filter(|&i| !self.workers[i].quarantined.load(Ordering::Relaxed))
             .collect();
         if healthy.is_empty() {
             return None;
         }
-        let c = self.cursor.fetch_add(1, Ordering::Relaxed) as usize;
-        Some(healthy[c % healthy.len()])
+        let slot = home.wrapping_add(u64::from(attempt)) % healthy.len() as u64;
+        Some(healthy[slot as usize])
     }
 
     /// Deterministic backoff before retry `attempt` (0-based) of
@@ -242,7 +248,6 @@ impl Fleet {
             cfg,
             transport,
             workers,
-            cursor: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -317,8 +322,9 @@ impl TaskDispatcher for Fleet {
             return None;
         }
         let payload = spec.canonical();
+        let home = fnv64(0, payload.as_bytes());
         for attempt in 0..=inner.cfg.retries {
-            let Some(idx) = inner.pick_healthy() else {
+            let Some(idx) = inner.pick_healthy(home, attempt) else {
                 // Every worker is quarantined: degrade without burning
                 // the remaining retry budget on a known-dead fleet.
                 break;
@@ -342,15 +348,16 @@ impl TaskDispatcher for Fleet {
             );
             match outcome {
                 Ok(resp) if resp.status == 200 => match open_envelope(&resp.body) {
-                    Ok(body) => {
+                    Ok(body) if spec.result_fits(&body) => {
                         inner.note_success(idx);
                         worker.completed.fetch_add(1, Ordering::Relaxed);
                         inner.dispatched.fetch_add(1, Ordering::Relaxed);
                         return Some(body);
                     }
-                    // Corrupted in flight (truncated/garbled): the
+                    // Corrupted in flight (truncated/garbled), or not
+                    // one IPT per configuration of an eval group: the
                     // worker may be fine, but the bytes are not.
-                    Err(_) => inner.note_failure(idx),
+                    _ => inner.note_failure(idx),
                 },
                 // The worker understood the request and rejected the
                 // spec; retrying cannot change its mind — run locally,
@@ -472,7 +479,7 @@ mod tests {
     use crate::client::Response;
     use crate::netfault::NetFaultPlan;
     use crate::transport::FlakyTransport;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Mutex;
 
     #[test]
@@ -560,9 +567,9 @@ mod tests {
                             status: 200,
                             body: task_envelope(&result),
                         }),
-                        Err(detail) => Ok(Response {
+                        Err(e) => Ok(Response {
                             status: 400,
-                            body: detail,
+                            body: e.to_string(),
                         }),
                     }
                 }
@@ -693,11 +700,110 @@ mod tests {
         let fleet = quick_fleet(transport.clone(), &["w:1"], 5);
         let spec = TaskSpec::eval(
             &spec::profile("gzip").expect("known"),
-            &xps_core::sim::CoreConfig::initial(),
+            &[xps_core::sim::CoreConfig::initial()],
             1_000,
         );
         assert_eq!(fleet.dispatch("matrix#0/0", &spec), None);
         assert_eq!(transport.calls.load(Ordering::Relaxed), 1);
         assert_eq!(fleet.stats().degraded, 1);
+    }
+
+    #[test]
+    fn placement_follows_the_spec_not_the_dispatch_history() {
+        // Records which worker each task went to.
+        #[derive(Debug)]
+        struct Recording {
+            inner: LocalWorkers,
+            posts: Mutex<Vec<(String, String)>>,
+        }
+        impl Transport for Recording {
+            fn roundtrip(
+                &self,
+                addr: &str,
+                method: &str,
+                path: &str,
+                body: Option<&str>,
+                timeout: Duration,
+                fault_key: &str,
+            ) -> Result<Response, ServeError> {
+                if path == "/tasks" {
+                    let spec = body.unwrap_or("").to_string();
+                    self.posts
+                        .lock()
+                        .expect("lock")
+                        .push((spec, addr.to_string()));
+                }
+                self.inner
+                    .roundtrip(addr, method, path, body, timeout, fault_key)
+            }
+        }
+        let transport = Arc::new(Recording {
+            inner: LocalWorkers::new(),
+            posts: Mutex::new(Vec::new()),
+        });
+        let fleet = quick_fleet(transport.clone(), &["w1:1", "w2:2", "w3:3"], 2);
+        let gzip = spec::profile("gzip").expect("known");
+        let specs: Vec<TaskSpec> = xps_core::paper::table4_configs()
+            .into_iter()
+            .map(|c| TaskSpec::eval(&gzip, &[c], 1_000))
+            .collect();
+        // Two passes over the same specs, the second after an odd
+        // number of unrelated dispatches: every spec goes to the same
+        // worker both times.
+        for s in &specs {
+            assert!(fleet.dispatch("pass1", s).is_some());
+        }
+        assert!(fleet.dispatch("other", &specs[0]).is_some());
+        for s in specs.iter().rev() {
+            assert!(fleet.dispatch("pass2", s).is_some());
+        }
+        let posts = transport.posts.lock().expect("lock");
+        let mut home: BTreeMap<&str, &str> = BTreeMap::new();
+        for (spec, addr) in posts.iter() {
+            let first = *home.entry(spec.as_str()).or_insert(addr.as_str());
+            assert_eq!(first, addr, "a repeated spec moved worker");
+        }
+        let used: BTreeSet<&str> = home.values().copied().collect();
+        assert!(used.len() > 1, "11 specs all hashed to one worker");
+    }
+
+    #[test]
+    fn eval_results_of_the_wrong_shape_are_bad_responses() {
+        // A worker whose intact envelope carries one IPT, whatever the
+        // group: right for a group of one, a failed attempt otherwise.
+        #[derive(Debug)]
+        struct OneIpt;
+        impl Transport for OneIpt {
+            fn roundtrip(
+                &self,
+                _addr: &str,
+                _method: &str,
+                _path: &str,
+                _body: Option<&str>,
+                _timeout: Duration,
+                _fault_key: &str,
+            ) -> Result<Response, ServeError> {
+                Ok(Response {
+                    status: 200,
+                    body: task_envelope("[1.5]"),
+                })
+            }
+        }
+        let fleet = quick_fleet(Arc::new(OneIpt), &["w:1"], 2);
+        let gzip = spec::profile("gzip").expect("known");
+        let one = [xps_core::sim::CoreConfig::initial()];
+        let body = fleet.dispatch("seed#0/1", &TaskSpec::eval(&gzip, &one, 1_000));
+        assert_eq!(body.as_deref(), Some("[1.5]"));
+        let two = [one[0].clone(), one[0].clone()];
+        assert_eq!(
+            fleet.dispatch("matrix#0/0", &TaskSpec::eval(&gzip, &two, 1_000)),
+            None
+        );
+        let stats = fleet.stats();
+        assert_eq!((stats.dispatched, stats.degraded), (1, 1));
+        assert_eq!(
+            stats.retried, 2,
+            "a bad shape is retried like a garbled body"
+        );
     }
 }

@@ -204,3 +204,88 @@ fn seeded_fault_schedule_keeps_bytes() {
     assert_eq!(doc, oracle, "document diverged under injected faults");
     assert!(fleet.stats().dispatched > 0, "nothing ran remotely");
 }
+
+#[test]
+fn dispatched_eval_group_equals_local_group() {
+    use xps_core::explore::{EvalCache, TaskDispatcher, TaskSpec};
+    use xps_core::{paper, workload::spec};
+    use xps_serve::Transport;
+    let worker = Worker::spawn("group");
+    let fleet = Fleet::tcp(test_config(vec![worker.addr.clone()]));
+    let profile = spec::profile("gcc").expect("known benchmark");
+    // A Table 4 lock-step group, at a length past the replay cache so
+    // the worker streams the trace once for all four cores.
+    let configs = paper::table4_configs()[6..10].to_vec();
+    let ops = 70_000;
+    let spec = TaskSpec::eval(&profile, &configs, ops);
+    let body = fleet
+        .dispatch("matrix#0/0", &spec)
+        .expect("the worker ran the group");
+    let remote: Vec<f64> = serde_json::from_str(&body).expect("one IPT per config");
+    let local = EvalCache::new().ipt_group(&profile, &configs, ops);
+    assert_eq!(remote.len(), configs.len());
+    assert!(
+        remote
+            .iter()
+            .zip(&local)
+            .all(|(r, l)| r.to_bits() == l.to_bits()),
+        "dispatched group diverged: {remote:?} vs {local:?}"
+    );
+
+    // A spec is input from outside the program: an empty group or an
+    // invalid member is an HTTP 400, which the dispatcher declines
+    // (the coordinator then meets the same typed rejection locally).
+    let mut invalid = configs[0].clone();
+    invalid.width = 0;
+    for bad in [
+        TaskSpec::eval(&profile, &[], ops),
+        TaskSpec::eval(&profile, &[configs[0].clone(), invalid], ops),
+    ] {
+        let resp = TcpTransport::default()
+            .roundtrip(
+                &worker.addr,
+                "POST",
+                "/tasks",
+                Some(&bad.canonical()),
+                Duration::from_secs(30),
+                "reject",
+            )
+            .expect("the worker answers");
+        assert_eq!(resp.status, 400, "accepted a bad group: {}", resp.body);
+        assert_eq!(fleet.dispatch("matrix#0/1", &bad), None);
+    }
+}
+
+#[test]
+fn oversized_eval_group_runs_as_bounded_runs_on_the_worker() {
+    use xps_core::explore::{EvalCache, TaskDispatcher, TaskSpec};
+    use xps_core::{paper, sim, workload::spec};
+    let worker = Worker::spawn("oversized");
+    let fleet = Fleet::tcp(test_config(vec![worker.addr.clone()]));
+    let profile = spec::profile("twolf").expect("known benchmark");
+    // The whole Table 4 set three times over: far more simulator state
+    // than any one core's, as no coordinator would send. The worker
+    // splits it into the same state-bounded runs the coordinator uses
+    // and answers one IPT per member, each equal to a lone evaluation.
+    let table4 = paper::table4_configs();
+    let configs: Vec<sim::CoreConfig> = table4.iter().cycle().take(33).cloned().collect();
+    assert!(sim::lockstep_groups(&configs).len() > 1);
+    let ops = 2_000;
+    let body = fleet
+        .dispatch("matrix#0/0", &TaskSpec::eval(&profile, &configs, ops))
+        .expect("the worker ran the group");
+    let remote: Vec<f64> = serde_json::from_str(&body).expect("one IPT per config");
+    let cache = EvalCache::new();
+    let scalar: Vec<f64> = configs
+        .iter()
+        .map(|c| cache.ipt(&profile, c, ops))
+        .collect();
+    assert_eq!(remote.len(), scalar.len());
+    assert!(
+        remote
+            .iter()
+            .zip(&scalar)
+            .all(|(r, l)| r.to_bits() == l.to_bits()),
+        "oversized group diverged: {remote:?} vs {scalar:?}"
+    );
+}

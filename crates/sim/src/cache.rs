@@ -44,6 +44,10 @@ pub struct DataCache {
 }
 
 impl DataCache {
+    /// Bytes of contents per line: its tag and its LRU rank.
+    pub(crate) const LINE_BYTES: u64 =
+        (std::mem::size_of::<u64>() + std::mem::size_of::<u32>()) as u64;
+
     /// Build a cache from its configuration.
     pub fn new(cfg: &CacheConfig) -> DataCache {
         let sets = cfg.geometry.sets;

@@ -41,10 +41,11 @@
 //!   reads through a sentinel register slot so the `Option<u8>` source
 //!   selects compile to branchless max chains.
 
-use crate::cache::{Hierarchy, PrefetchKind};
+use crate::cache::{DataCache, Hierarchy, PrefetchKind};
 use crate::config::CoreConfig;
 use crate::predictor::{Predictor, PredictorKind};
 use crate::stats::SimStats;
+use std::ops::Range;
 use xps_workload::{MicroOp, OpClass, REG_COUNT};
 
 /// Execution latencies (cycles) by op class.
@@ -328,41 +329,17 @@ impl Simulator {
     /// Run up to `max_ops` micro-ops of `trace` through the machine and
     /// return the measurements.
     pub fn run(mut self, trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) -> SimStats {
-        // Consume the trace in chunks: generating a buffer of ops and
-        // then stepping them keeps each side's code and branch-history
-        // footprint resident instead of alternating generator and
-        // engine every op (~5% on the simulator bench). One buffer per
-        // run, no per-op allocation; op order is unchanged. The count
-        // is carried in u64 — `take(max_ops as usize)` would silently
-        // truncate a >4G-op budget on 32-bit targets.
-        const CHUNK: usize = 256;
-        let mut it = trace.into_iter();
-        let mut buf: Vec<MicroOp> = Vec::with_capacity(CHUNK);
-        let mut taken = 0u64;
-        'outer: loop {
-            buf.clear();
-            while (buf.len() as u64) < (max_ops - taken).min(CHUNK as u64) {
-                match it.next() {
-                    Some(op) => buf.push(op),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                break 'outer;
-            }
-            taken += buf.len() as u64;
-            for op in &buf {
-                self.step(op);
-            }
-            if taken >= max_ops {
-                break;
-            }
-        }
-        // Volatile: whether a simulation *happened* depends on which
-        // racing worker lost the shared-cache race, so this event is
-        // profile-only and never journaled. The attribute list is
-        // inline (no heap allocation) — this closure runs once per
-        // simulation during traced campaigns.
+        step_lockstep(std::slice::from_mut(&mut self), trace, max_ops);
+        self.finish()
+    }
+
+    /// The measurements of a finished run. Volatile: whether a
+    /// simulation *happened* depends on which racing worker lost the
+    /// shared-cache race, so the `sim.run` event is profile-only and
+    /// never journaled. The attribute list is inline (no heap
+    /// allocation) — this closure runs once per simulation during
+    /// traced campaigns.
+    fn finish(self) -> SimStats {
         xps_trace::instant_volatile("sim.run", || {
             xps_trace::attrs([
                 ("ops", self.ops.into()),
@@ -565,22 +542,144 @@ impl Simulator {
     }
 }
 
-/// Simulate `ops` micro-ops of `profile` on `cfg`.
+/// Step every simulator of `sims` over up to `max_ops` micro-ops of
+/// `trace`: the one stepping loop behind [`Simulator::run`],
+/// [`evaluate`] and [`evaluate_group`].
 ///
-/// This is the standard evaluation entry point for exploration code:
-/// small op budgets replay a memoized per-thread trace
+/// The trace is consumed in 256-op chunks, and each simulator steps a
+/// whole chunk before the next one starts. Producing a buffer of ops
+/// and then stepping it keeps each side's code and branch-history
+/// footprint resident instead of alternating generator and engine
+/// every op (~5% on the simulator bench), and one chunk per group
+/// means each op is produced once however many simulators consume it.
+/// Simulators share nothing, so each sees exactly the op sequence a
+/// lone run would: a group is bit-identical to separate runs. One
+/// buffer per call, no per-op allocation. The count is carried in u64
+/// — `take(max_ops as usize)` would silently truncate a >4G-op budget
+/// on 32-bit targets.
+fn step_lockstep(sims: &mut [Simulator], trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) {
+    const CHUNK: usize = 256;
+    let mut it = trace.into_iter();
+    let mut buf: Vec<MicroOp> = Vec::with_capacity(CHUNK);
+    let mut taken = 0u64;
+    while taken < max_ops {
+        buf.clear();
+        while (buf.len() as u64) < (max_ops - taken).min(CHUNK as u64) {
+            match it.next() {
+                Some(op) => buf.push(op),
+                None => break,
+            }
+        }
+        if buf.is_empty() {
+            break;
+        }
+        taken += buf.len() as u64;
+        for sim in sims.iter_mut() {
+            for op in &buf {
+                sim.step(op);
+            }
+        }
+    }
+}
+
+/// Build one simulator per configuration, then step them all over
+/// `trace` (see [`step_lockstep`]).
+fn build_and_step(
+    configs: &[CoreConfig],
+    trace: impl IntoIterator<Item = MicroOp>,
+    ops: u64,
+) -> Vec<Simulator> {
+    let mut sims: Vec<Simulator> = configs.iter().map(Simulator::new).collect();
+    step_lockstep(&mut sims, trace, ops);
+    sims
+}
+
+/// Simulate `ops` micro-ops of `profile` on every configuration of
+/// `configs` in lock step over one produced trace; item `k` of the
+/// result is bit-identical to `Simulator::new(&configs[k])` run over
+/// that trace alone.
+///
+/// The trace is produced once for the whole group: small budgets
+/// replay a memoized per-thread trace
 /// ([`xps_workload::with_cached_trace`]) — the trace of a profile is
 /// identical for every configuration evaluated against it, so the
 /// generator's sampling work is paid once, not per design point —
-/// while budgets past the cache bound stream from a pooled generator.
-/// Both paths produce bit-identical [`SimStats`].
-pub fn evaluate(profile: &xps_workload::WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+/// while budgets past the cache bound stream from one pooled
+/// generator. Both sources yield the identical op sequence. The
+/// simulators are built only once the source exists, so a trace the
+/// replay cache materializes is allocated before them: built first,
+/// their arrays fragment the heap under the growing trace and raise
+/// peak memory.
+///
+/// A group of K configurations produces its trace once instead of K
+/// times, which is what a cross-configuration matrix row needs when
+/// its cells stream from the generator. It holds K simulators at once,
+/// so callers bound the group's size with [`lockstep_groups`].
+///
+/// # Panics
+///
+/// Panics if any configuration fails [`CoreConfig::validate`].
+pub fn evaluate_group(
+    profile: &xps_workload::WorkloadProfile,
+    configs: &[CoreConfig],
+    ops: u64,
+) -> Vec<SimStats> {
     xps_workload::with_cached_trace(profile, ops, |trace| {
-        Simulator::new(cfg).run(trace.iter().copied(), ops)
+        build_and_step(configs, trace.iter().copied(), ops)
     })
     .unwrap_or_else(|| {
-        xps_workload::with_generator(profile, |g| Simulator::new(cfg).run(&mut *g, ops))
+        xps_workload::with_generator(profile, |g| build_and_step(configs, &mut *g, ops))
     })
+    .into_iter()
+    .map(Simulator::finish)
+    .collect()
+}
+
+/// Simulate `ops` micro-ops of `profile` on `cfg`: the standard
+/// evaluation entry point for exploration code, and the one-config
+/// case of [`evaluate_group`].
+pub fn evaluate(profile: &xps_workload::WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+    evaluate_group(profile, std::slice::from_ref(cfg), ops).swap_remove(0)
+}
+
+/// Bytes of a simulator's cache contents for `cfg`: one tag and one
+/// LRU rank per line of L1 and L2. These arrays dominate a
+/// [`Simulator`]'s memory (a Table 4 core holds up to 40,960 lines;
+/// every other structure is at most a few thousand entries).
+pub fn cache_state_bytes(cfg: &CoreConfig) -> u64 {
+    let lines =
+        |c: &crate::config::CacheConfig| u64::from(c.geometry.sets) * u64::from(c.geometry.assoc);
+    (lines(&cfg.l1) + lines(&cfg.l2)) * DataCache::LINE_BYTES
+}
+
+/// Split `configs` into runs of consecutive configurations to
+/// evaluate with [`evaluate_group`], covering every index exactly
+/// once and in order.
+///
+/// The group size is derived from the input, not tuned: a group grows
+/// greedily while its total [`cache_state_bytes`] stays within that
+/// of the largest single configuration. The live simulator state of
+/// one group is therefore never more than that of one lone simulator
+/// of the same set, and a configuration at the maximum forms a group
+/// of its own.
+pub fn lockstep_groups(configs: &[CoreConfig]) -> Vec<Range<usize>> {
+    let bound = configs.iter().map(cache_state_bytes).max().unwrap_or(0);
+    let mut groups = Vec::new();
+    let mut start = 0;
+    let mut held = 0u64;
+    for (i, cfg) in configs.iter().enumerate() {
+        let bytes = cache_state_bytes(cfg);
+        if i > start && held + bytes > bound {
+            groups.push(start..i);
+            start = i;
+            held = 0;
+        }
+        held += bytes;
+    }
+    if start < configs.len() {
+        groups.push(start..configs.len());
+    }
+    groups
 }
 
 #[cfg(test)]

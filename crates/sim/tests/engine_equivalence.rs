@@ -6,13 +6,23 @@
 //! bookkeeping the overhaul replaced (issue-slot ring vs `HashMap`,
 //! filtered store-forwarding lookup vs unconditional 64-entry scan).
 //!
+//! The lock-step group kernel ([`evaluate_group`]) is held to the same
+//! oracle: a group of K configurations must equal K scalar
+//! [`evaluate`] calls and K reference runs, on both sides of the
+//! replay-cache bound and of the 256-op chunk.
+//!
 //! A final regression test pins the memory story: the optimized
 //! engine's auxiliary issue-slot state must stay O(window), not grow
 //! with the number of ops simulated.
 
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, SeedableRng};
 use xps_cacti::CacheGeometry;
-use xps_sim::{CacheConfig, CoreConfig, ReferenceSimulator, SimStats, Simulator};
+use xps_core::explore::{mutate, DesignPoint};
+use xps_core::{cacti::Technology, paper};
+use xps_sim::{
+    evaluate, evaluate_group, CacheConfig, CoreConfig, ReferenceSimulator, SimStats, Simulator,
+};
 use xps_workload::{spec, MicroOp, TraceGenerator, REG_COUNT};
 
 fn reference_stats(cfg: &CoreConfig, trace: &[MicroOp]) -> SimStats {
@@ -188,4 +198,103 @@ fn issue_slot_state_is_o_window_not_o_ops() {
         "auxiliary state grew with op count: {peak_short} entries at 10k ops, \
          {peak_long} at 160k"
     );
+}
+
+/// Op budgets around every boundary of the group kernel: one op, one
+/// short of, at and past the 256-op chunk, at and past the replay
+/// cache's bound (cached slice versus one streaming generator), and a
+/// long streamed run.
+const GROUP_OPS: [u64; 7] = [1, 255, 256, 257, 65_536, 65_537, 200_000];
+
+/// Assert that the group result on `configs` equals one scalar
+/// `evaluate` and one reference run per configuration.
+fn assert_group_matches(profile: &xps_workload::WorkloadProfile, configs: &[CoreConfig], ops: u64) {
+    let group = evaluate_group(profile, configs, ops);
+    assert_eq!(group.len(), configs.len());
+    let trace: Vec<MicroOp> = TraceGenerator::new(profile.clone())
+        .take(ops as usize)
+        .collect();
+    for (k, (stats, cfg)) in group.iter().zip(configs).enumerate() {
+        let what = format!(
+            "{} on member {k} ({}) of {} at {ops} ops",
+            profile.name,
+            cfg.name,
+            configs.len()
+        );
+        assert_eq!(
+            stats,
+            &evaluate(profile, cfg, ops),
+            "group vs scalar: {what}"
+        );
+        assert_eq!(
+            stats,
+            &reference_stats(cfg, &trace),
+            "group vs reference: {what}"
+        );
+    }
+}
+
+/// Groups of the Table 4 cores for K = 1..=11, each K at one of the
+/// boundary budgets in turn, so every budget meets several group
+/// sizes and the long budgets meet groups of four to eleven.
+#[test]
+fn table4_groups_match_scalar_and_reference() {
+    let cores = paper::table4_configs();
+    for k in 1..=cores.len() {
+        let ops = GROUP_OPS[k % GROUP_OPS.len()];
+        let profile = spec::profile(spec::BENCHMARKS[k - 1]).expect("known benchmark");
+        assert_group_matches(&profile, &cores[..k], ops);
+    }
+}
+
+/// Seeded random design points, realized at the default technology:
+/// a chain of move-kernel mutations from the Table 3 start.
+fn random_cores(seed: u64, n: usize) -> Vec<CoreConfig> {
+    let tech = Technology::default();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut point = DesignPoint::initial();
+    let mut cores = Vec::with_capacity(n);
+    while cores.len() < n {
+        point = mutate(&mut rng, &point);
+        if let Some(cfg) = point.realize(&tech, &format!("random-{}", cores.len())) {
+            cores.push(cfg);
+        }
+    }
+    cores
+}
+
+/// Random design points at every boundary budget, in groups whose
+/// size cycles through 1..=11; every group repeats its first
+/// configuration at the end, so one group holds one configuration
+/// twice (two simulators stepping identical state side by side).
+#[test]
+fn random_design_point_groups_match_scalar_and_reference() {
+    let cores = random_cores(0x5eed, 10);
+    for (i, &ops) in GROUP_OPS.iter().enumerate() {
+        let k = 1 + (3 * i + 1) % cores.len();
+        let mut group = cores[..k].to_vec();
+        group.push(cores[0].clone());
+        let profile = spec::profile(spec::BENCHMARKS[i]).expect("known benchmark");
+        assert_group_matches(&profile, &group, ops);
+    }
+}
+
+/// Every simulator of a traced group emits its own `sim.run` instant,
+/// so the ledger's simulated-op count is unchanged by grouping.
+#[test]
+fn traced_group_records_one_sim_run_per_member() {
+    let cores = paper::table4_configs();
+    let profile = spec::profile("vpr").expect("known benchmark");
+    for (k, ops) in [(1usize, 300u64), (5, 70_000)] {
+        let (rec, _) = xps_trace::with_recorder(xps_trace::SpanRecorder::new(), || {
+            evaluate_group(&profile, &cores[..k], ops)
+        });
+        let runs: Vec<_> = rec
+            .finish()
+            .into_iter()
+            .filter(|e| e.name == "sim.run")
+            .collect();
+        assert_eq!(runs.len(), k, "one sim.run per member");
+        assert_eq!(runs.iter().map(|e| e.ops()).sum::<u64>(), k as u64 * ops);
+    }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use xps_cacti::CacheGeometry;
-use xps_sim::{CacheConfig, CoreConfig, Simulator};
+use xps_sim::{cache_state_bytes, lockstep_groups, CacheConfig, CoreConfig, Simulator};
 use xps_workload::{spec, TraceGenerator};
 
 fn arb_config() -> impl Strategy<Value = CoreConfig> {
@@ -114,5 +114,36 @@ proptest! {
         cfg.l2.latency = 30;
         let slow = Simulator::new(&cfg).run(TraceGenerator::new(p), 10_000);
         prop_assert!(slow.cycles >= fast.cycles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lock-step partition covers every column exactly once and in
+    /// order; no group holds more cache state than the largest single
+    /// configuration; a configuration at that maximum is alone; and no
+    /// group could have taken its successor's first member (greedy, so
+    /// no fewer groups fit the bound).
+    #[test]
+    fn lockstep_groups_partition_within_the_state_bound(
+        configs in (0usize..16).prop_flat_map(|n| prop::collection::vec(arb_config(), n)),
+    ) {
+        let groups = lockstep_groups(&configs);
+        let covered: Vec<usize> = groups.iter().flat_map(|g| g.clone()).collect();
+        prop_assert_eq!(covered, (0..configs.len()).collect::<Vec<_>>());
+        let bytes: Vec<u64> = configs.iter().map(cache_state_bytes).collect();
+        let max = bytes.iter().copied().max().unwrap_or(0);
+        for g in &groups {
+            prop_assert!(!g.is_empty());
+            prop_assert!(bytes[g.clone()].iter().sum::<u64>() <= max);
+            if g.len() > 1 {
+                prop_assert!(bytes[g.clone()].iter().all(|&b| b < max));
+            }
+        }
+        for pair in groups.windows(2) {
+            let grown: u64 = bytes[pair[0].start..=pair[1].start].iter().sum();
+            prop_assert!(grown > max, "group {:?} could hold {}", pair[0], pair[1].start);
+        }
     }
 }
