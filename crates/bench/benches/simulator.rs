@@ -3,7 +3,7 @@
 //!
 //! The `simulator` group measures the evaluation path exploration code
 //! actually runs ([`xps_core::sim::evaluate`]): the profile's trace is
-//! memoized per thread and replayed for every configuration, so the
+//! memoized once per process and replayed for every configuration, so the
 //! numbers track the cycle engine itself. `trace-generation` measures
 //! the generator's raw (uncached) sampling throughput separately.
 

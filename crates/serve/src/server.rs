@@ -317,6 +317,9 @@ impl Server {
                 // and keep serving.
                 Err(e) if accept_error_is_transient(&e) => {
                     eprintln!("xps-serve: accept failed, still serving: {e}");
+                    if out_of_descriptors(&e) {
+                        join_oldest_handler(&mut handlers);
+                    }
                     continue;
                 }
                 Err(e) => return Err(e.into()),
@@ -360,12 +363,28 @@ impl Server {
 /// means the listener itself is broken.
 fn accept_error_is_transient(e: &std::io::Error) -> bool {
     use std::io::ErrorKind;
-    const ENFILE: i32 = 23;
-    const EMFILE: i32 = 24;
     matches!(
         e.kind(),
         ErrorKind::ConnectionAborted | ErrorKind::Interrupted
-    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
+    ) || out_of_descriptors(e)
+}
+
+/// Whether `e` is the process (`EMFILE` 24) or the system (`ENFILE` 23)
+/// running out of file descriptors.
+fn out_of_descriptors(e: &std::io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
+}
+
+/// Wait for the oldest live connection handler to finish. Descriptors
+/// free up as handlers close their connections, so after `EMFILE` or
+/// `ENFILE` the accept loop waits on one instead of retrying `accept`
+/// at once and spinning until one does. A no-op with no handler live.
+fn join_oldest_handler(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+    if !handlers.is_empty() {
+        let _ = handlers.remove(0).join();
+    }
 }
 
 /// One scheduler worker: drain jobs until the queue closes or
@@ -816,6 +835,40 @@ mod tests {
         ] {
             assert!(!accept_error_is_transient(&fatal), "{fatal}");
         }
+    }
+
+    #[test]
+    fn descriptor_exhaustion_waits_for_the_oldest_handler() {
+        use std::io::{Error, ErrorKind};
+        assert!(out_of_descriptors(&Error::from_raw_os_error(24)));
+        assert!(out_of_descriptors(&Error::from_raw_os_error(23)));
+        assert!(!out_of_descriptors(&Error::from(
+            ErrorKind::ConnectionAborted
+        )));
+        // The oldest handler finishes only after a delay; the join
+        // waits it out and leaves the younger handler alone.
+        let done = Arc::new(AtomicBool::new(false));
+        let flag = done.clone();
+        let oldest = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
+        });
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let younger = std::thread::spawn(move || {
+            let _ = rx.recv();
+        });
+        let mut handlers = vec![oldest, younger];
+        join_oldest_handler(&mut handlers);
+        assert!(
+            done.load(Ordering::SeqCst),
+            "returned before the oldest finished"
+        );
+        assert_eq!(handlers.len(), 1);
+        assert!(!handlers[0].is_finished(), "joined the younger handler");
+        drop(tx);
+        join_oldest_handler(&mut handlers);
+        assert!(handlers.is_empty());
+        join_oldest_handler(&mut handlers);
     }
 
     #[test]

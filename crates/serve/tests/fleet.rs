@@ -289,3 +289,62 @@ fn oversized_eval_group_runs_as_bounded_runs_on_the_worker() {
         "oversized group diverged: {remote:?} vs {scalar:?}"
     );
 }
+
+#[test]
+fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
+    use xps_core::explore::{TaskDispatcher, TaskSpec};
+    use xps_core::{paper, workload::spec};
+    use xps_serve::Transport;
+    let worker = Worker::spawn("geometry");
+    let fleet = Fleet::tcp(test_config(vec![worker.addr.clone()]));
+    let profile = spec::profile("vpr").expect("known benchmark");
+    let good = paper::table4_configs()[0].clone();
+    let ops = 2_000;
+    // Geometries no design point has: a `sets × assoc` line count that
+    // overflows, one just past the design space, zero ways, and a
+    // block size that is not a power of two.
+    let hostile = |f: &dyn Fn(&mut xps_core::sim::CoreConfig)| {
+        let mut c = good.clone();
+        f(&mut c);
+        c
+    };
+    for (member, what) in [
+        (
+            hostile(&|c| {
+                c.l2.geometry.sets = u32::MAX;
+                c.l2.geometry.assoc = u32::MAX;
+            }),
+            "L2 sets",
+        ),
+        (hostile(&|c| c.l2.geometry.sets = 1 << 17), "L2 sets"),
+        (hostile(&|c| c.l1.geometry.assoc = 0), "L1 associativity"),
+        (
+            hostile(&|c| c.l1.geometry.block_bytes = 48),
+            "L1 block size",
+        ),
+    ] {
+        let spec = TaskSpec::eval(&profile, &[good.clone(), member], ops);
+        let resp = TcpTransport::default()
+            .roundtrip(
+                &worker.addr,
+                "POST",
+                "/tasks",
+                Some(&spec.canonical()),
+                Duration::from_secs(30),
+                "hostile",
+            )
+            .expect("the worker answers");
+        assert_eq!(resp.status, 400, "accepted a hostile member: {}", resp.body);
+        assert!(
+            resp.body.contains("eval config 1 invalid") && resp.body.contains(what),
+            "untyped rejection: {}",
+            resp.body
+        );
+    }
+    // The worker survived every request and still evaluates.
+    let body = fleet
+        .dispatch("matrix#0/0", &TaskSpec::eval(&profile, &[good], ops))
+        .expect("the worker is alive");
+    let ipts: Vec<f64> = serde_json::from_str(&body).expect("one IPT");
+    assert_eq!(ipts.len(), 1);
+}

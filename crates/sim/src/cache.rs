@@ -283,9 +283,14 @@ impl Hierarchy {
         // Every recorded fill is ready by `latest_fill`; once `now` is
         // past it the scan cannot find a live entry.
         let pending = if now < self.latest_fill {
-            // At most one entry per block can still be in flight (a
-            // block re-misses only after its previous fill completed),
-            // so first-match is the unique match.
+            // Two fills of one block can be pending at once: access
+            // times are not monotone under out-of-order issue, so a
+            // block can re-miss at a cycle past its first fill's
+            // arrival and later be accessed at a cycle before it. The
+            // merge takes the first recorded matching fill, not the
+            // latest-ready one; that rule is part of the model (it
+            // moves the Table 4 cores' stats), pinned by
+            // `merge_takes_the_first_recorded_of_two_pending_fills`.
             (0..self.fill_len)
                 .find(|&s| self.fill_block[s] == block && self.fill_ready[s] > now)
                 .map(|s| self.fill_ready[s])
@@ -404,6 +409,28 @@ mod tests {
         let t1 = h.access(0x20_000, 0);
         let t2 = h.access(0x20_008, 1); // same block, one cycle later
         assert_eq!(t2, t1, "second request rides the outstanding fill");
+    }
+
+    #[test]
+    fn merge_takes_the_first_recorded_of_two_pending_fills() {
+        let mut h = Hierarchy::new(&small_cfg(), &l2_cfg(), 100);
+        // Block 0 misses to memory: fill A, ready at 110.
+        let ready_a = h.access(0, 0);
+        assert_eq!(ready_a, 2 + 8 + 100);
+        // Two conflicting blocks evict it from the 2-way L1 set.
+        h.access(4 * 64, 200);
+        h.access(8 * 64, 200);
+        // An access issued at 120 (after A arrived) re-misses block 0
+        // and hits L2: fill B, ready at 130.
+        let ready_b = h.access(0, 120);
+        assert_eq!(ready_b, 120 + 2 + 8);
+        // An older access at cycle 50 now finds both fills of block 0
+        // pending (110 > 50 and 130 > 50) and rides the first recorded.
+        assert_eq!(
+            h.access(0, 50),
+            ready_a,
+            "not the latest-ready fill {ready_b}"
+        );
     }
 
     #[test]

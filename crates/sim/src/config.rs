@@ -1,7 +1,7 @@
 //! Core configuration: the design parameters of one processor.
 
 use serde::{Deserialize, Serialize};
-use xps_cacti::CacheGeometry;
+use xps_cacti::{fit, CacheGeometry};
 
 /// Memory access latency in nanoseconds (paper Table 2).
 pub const MEMORY_LATENCY_NS: f64 = 50.0;
@@ -158,7 +158,10 @@ impl CoreConfig {
     ///
     /// Returns a description of the first violated constraint: positive
     /// clock, width in 1..=16, non-zero structures, IQ not larger than
-    /// the ROB, and non-zero pipeline depths.
+    /// the ROB, non-zero pipeline depths and cache latencies, cache
+    /// geometries within the design space (sets and associativity at
+    /// most the largest explored candidate, power-of-two blocks of at
+    /// least 8 bytes), and an L2 at least as large as the L1.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.clock_ns.is_finite() && self.clock_ns > 0.0) {
             return Err(format!("clock period must be positive: {}", self.clock_ns));
@@ -181,11 +184,42 @@ impl CoreConfig {
         if self.l1.latency == 0 || self.l2.latency == 0 {
             return Err("cache latencies must be at least 1 cycle".to_string());
         }
+        for (level, cache) in [("L1", &self.l1), ("L2", &self.l2)] {
+            validate_geometry(&cache.geometry).map_err(|e| format!("{level} {e}"))?;
+        }
         if self.l2.geometry.capacity_bytes() < self.l1.geometry.capacity_bytes() {
             return Err("L2 must be at least as large as L1".to_string());
         }
         Ok(())
     }
+}
+
+/// Check one cache geometry against the explored design space: sets
+/// and associativity in `1..=` the largest candidate of
+/// `fit::CACHE_SETS` / `fit::CACHE_ASSOC`, and a block size that is a
+/// power of two of at least 8 bytes. A configuration may arrive off
+/// the network, and a simulator allocates one tag and one LRU rank per
+/// line, so an unbounded `sets × assoc` would overflow the line count
+/// or abort the process on allocation.
+fn validate_geometry(g: &CacheGeometry) -> Result<(), String> {
+    let max_sets = fit::CACHE_SETS.iter().copied().max().unwrap_or(0);
+    let max_assoc = fit::CACHE_ASSOC.iter().copied().max().unwrap_or(0);
+    if !(1..=max_sets).contains(&g.sets) {
+        return Err(format!("sets out of range 1..={max_sets}: {}", g.sets));
+    }
+    if !(1..=max_assoc).contains(&g.assoc) {
+        return Err(format!(
+            "associativity out of range 1..={max_assoc}: {}",
+            g.assoc
+        ));
+    }
+    if !(g.block_bytes.is_power_of_two() && g.block_bytes >= 8) {
+        return Err(format!(
+            "block size must be a power of two of at least 8 bytes: {}",
+            g.block_bytes
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -249,6 +283,34 @@ mod tests {
         let mut c = CoreConfig::initial();
         c.l2.geometry = CacheGeometry::new(32, 1, 8);
         assert!(c.validate().is_err());
+
+        // Hostile cache geometries: deserialized ones skip
+        // `CacheGeometry::new`'s asserts.
+        let with = |sets: u32, assoc: u32, block: u32| {
+            let mut c = CoreConfig::initial();
+            c.l2.geometry.sets = sets;
+            c.l2.geometry.assoc = assoc;
+            c.l2.geometry.block_bytes = block;
+            c.validate()
+        };
+        // The design space's largest L2 is valid.
+        assert!(with(65_536, 16, 64).is_ok(), "{:?}", with(65_536, 16, 64));
+        for (sets, assoc, block) in [
+            (0, 4, 64),
+            (131_072, 4, 64),
+            (u32::MAX, u32::MAX, 64),
+            (2048, 0, 64),
+            (2048, 17, 64),
+            (2048, 4, 0),
+            (2048, 4, 4),
+            (2048, 4, 96),
+        ] {
+            let err = with(sets, assoc, block).expect_err("hostile geometry");
+            assert!(err.starts_with("L2 "), "{err}");
+        }
+        let mut c = CoreConfig::initial();
+        c.l1.geometry.assoc = 1 << 20;
+        assert!(c.validate().expect_err("huge L1").starts_with("L1 "));
     }
 
     #[test]

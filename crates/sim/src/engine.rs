@@ -600,7 +600,7 @@ fn build_and_step(
 /// that trace alone.
 ///
 /// The trace is produced once for the whole group: small budgets
-/// replay a memoized per-thread trace
+/// replay a trace memoized once per process
 /// ([`xps_workload::with_cached_trace`]) — the trace of a profile is
 /// identical for every configuration evaluated against it, so the
 /// generator's sampling work is paid once, not per design point —

@@ -523,69 +523,6 @@ pub fn with_generator<R>(profile: &WorkloadProfile, f: impl FnOnce(&mut TraceGen
     out
 }
 
-/// Largest single trace (in ops) the replay cache will materialize.
-/// Bigger requests stream through [`with_generator`] instead — a
-/// million-op campaign trace would hold tens of megabytes per thread.
-pub const REPLAY_CACHE_MAX_OPS: u64 = 65_536;
-
-/// Total ops the per-thread replay cache holds across traces before
-/// evicting the least recently inserted ones.
-const REPLAY_CACHE_TOTAL_OPS: u64 = 262_144;
-
-thread_local! {
-    static TRACE_CACHE: std::cell::RefCell<Vec<(WorkloadProfile, u64, Vec<MicroOp>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Run `f` over the first `ops` micro-ops of `profile`'s trace as a
-/// slice, memoizing the materialized trace in a per-thread cache.
-///
-/// A profile's op stream is a pure function of the profile, so every
-/// evaluation of a different core configuration on the same workload
-/// replays the identical trace; materializing it once turns the
-/// generator's per-op sampling work into a linear read for each
-/// subsequent evaluation. This is classic trace-driven simulation, and
-/// it is what the exploration loop does: dozens to thousands of
-/// configurations, a handful of workload profiles.
-///
-/// Returns `None` (without running `f`) when `ops` exceeds
-/// [`REPLAY_CACHE_MAX_OPS`]; callers fall back to streaming via
-/// [`with_generator`]. The cached trace is exactly the stream
-/// `TraceGenerator::new(profile)` yields, so results are bit-identical
-/// to streaming.
-pub fn with_cached_trace<R>(
-    profile: &WorkloadProfile,
-    ops: u64,
-    f: impl FnOnce(&[MicroOp]) -> R,
-) -> Option<R> {
-    if ops > REPLAY_CACHE_MAX_OPS {
-        return None;
-    }
-    let want = ops as usize;
-    TRACE_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(i) = cache
-            .iter()
-            .position(|(p, len, _)| p == profile && *len >= ops)
-        {
-            return Some(f(&cache[i].2[..want]));
-        }
-        // Miss: materialize via the pooled generator, then cache.
-        let trace: Vec<MicroOp> = with_generator(profile, |g| g.take(want).collect());
-        // Drop any shorter trace for this profile — the longer one
-        // subsumes it — then evict least recently inserted traces
-        // until this one fits.
-        cache.retain(|(p, _, _)| p != profile);
-        let mut held: u64 = cache.iter().map(|(_, len, _)| *len).sum();
-        while held + ops > REPLAY_CACHE_TOTAL_OPS && !cache.is_empty() {
-            held -= cache.remove(0).1;
-        }
-        let out = f(&trace);
-        cache.push((profile.clone(), ops, trace));
-        Some(out)
-    })
-}
-
 impl Iterator for TraceGenerator {
     type Item = MicroOp;
 
@@ -613,26 +550,6 @@ mod tests {
     use super::*;
     use crate::op::REG_COUNT;
     use crate::spec;
-
-    #[test]
-    fn cached_trace_replays_fresh_stream() {
-        let p = spec::profile("gcc").expect("known benchmark");
-        let fresh: Vec<MicroOp> = TraceGenerator::new(p.clone()).take(1000).collect();
-        // First call materializes, second replays from cache; both see
-        // the exact fresh stream.
-        for _ in 0..2 {
-            let got = with_cached_trace(&p, 1000, |t| t.to_vec()).expect("within cache bound");
-            assert_eq!(got, fresh);
-        }
-        // A shorter request is served from the longer cached trace.
-        let short = with_cached_trace(&p, 10, |t| t.to_vec()).expect("within cache bound");
-        assert_eq!(short, fresh[..10]);
-        // Budgets beyond the bound refuse (callers stream instead).
-        assert_eq!(
-            with_cached_trace(&p, REPLAY_CACHE_MAX_OPS + 1, |t| t.len()),
-            None
-        );
-    }
 
     #[test]
     fn integer_thresholds_match_float_compares() {

@@ -35,9 +35,13 @@ mod characterize;
 mod gen;
 mod op;
 mod profile;
+mod replay;
 pub mod spec;
 
 pub use characterize::{CharacterVector, Characterizer, HIST_BUCKETS, KIVIAT_AXES};
-pub use gen::{with_cached_trace, with_generator, TraceGenerator, REPLAY_CACHE_MAX_OPS};
+pub use gen::{with_generator, TraceGenerator};
 pub use op::{BranchInfo, MicroOp, OpClass, REG_COUNT};
 pub use profile::{ControlBehavior, DependenceBehavior, MemoryBehavior, OpMix, WorkloadProfile};
+#[doc(hidden)]
+pub use replay::replay_cache_footprint;
+pub use replay::{with_cached_trace, REPLAY_CACHE_MAX_OPS};
