@@ -302,7 +302,8 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
     let ops = 2_000;
     // Geometries no design point has: a `sets × assoc` line count that
     // overflows, one just past the design space, zero ways, and a
-    // block size that is not a power of two.
+    // block size that is not a power of two; and a ROB that would
+    // allocate one ring entry per slot of a `u32::MAX` window.
     let hostile = |f: &dyn Fn(&mut xps_core::sim::CoreConfig)| {
         let mut c = good.clone();
         f(&mut c);
@@ -322,6 +323,7 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
             hostile(&|c| c.l1.geometry.block_bytes = 48),
             "L1 block size",
         ),
+        (hostile(&|c| c.rob_size = u32::MAX), "ROB size"),
     ] {
         let spec = TaskSpec::eval(&profile, &[good.clone(), member], ops);
         let resp = TcpTransport::default()

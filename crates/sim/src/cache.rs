@@ -1,5 +1,14 @@
 //! Data-cache hierarchy: set-associative LRU caches with write-back,
 //! write-allocate policy and outstanding-miss merging.
+//!
+//! The kernel does constant work per way on every access: a hit is one
+//! stamp store ([`DataCache`] documents the last-use stamp and
+//! zero-means-empty encodings), and the pending-fill probe runs only
+//! when a per-bucket filter says a fill of the block may be in flight,
+//! as one pass over every MSHR slot into a match mask
+//! ([`Hierarchy::access`]). The rank-LRU kernel it replaced is frozen
+//! in [`crate::reference::cache`] as the oracle that
+//! `tests/cache_oracle.rs` compares it with, access by access.
 
 use crate::config::CacheConfig;
 use serde::{Deserialize, Serialize};
@@ -27,12 +36,31 @@ impl CacheStats {
 /// One level of set-associative, true-LRU data cache.
 ///
 /// Timing is handled by [`Hierarchy`]; this type tracks only contents.
+///
+/// Two encodings keep every operation constant-time per way and let
+/// construction skip writing the arrays:
+///
+/// * **Zero means empty.** A way stores its block's tag plus one, so
+///   an all-zero tag array is an empty cache (tags are at most 2⁶¹,
+///   since every block offset is at least 3 bits, so the `+ 1` cannot
+///   wrap) and `new` gets it from a zeroed allocation.
+/// * **Last-use stamps.** Each way holds the value of a per-cache
+///   clock at its last use instead of an LRU rank: a hit or a fill is
+///   one store, and the victim is the way with the smallest stamp.
+///   Used ways carry distinct non-zero stamps, so only never-used ways
+///   tie, at 0; a tie goes to the highest way, which fills an empty set
+///   from way `assoc - 1` down to way 0, the order of a rank array
+///   initialized to `way index`. When the `u32` clock would wrap, every
+///   set's stamps are renumbered `1..` in their order, which preserves
+///   every victim choice.
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    /// Tag per way per set; `u64::MAX` marks an empty way.
+    /// Tag plus one per way per set; 0 marks an empty way.
     tags: Vec<u64>,
-    /// LRU ordering per set: smaller = more recently used.
-    lru: Vec<u32>,
+    /// Last-use stamp per way per set; 0 = never used.
+    stamps: Vec<u32>,
+    /// Stamp of the latest use in any set.
+    clock: u32,
     sets: u32,
     assoc: u32,
     offset_bits: u32,
@@ -44,7 +72,7 @@ pub struct DataCache {
 }
 
 impl DataCache {
-    /// Bytes of contents per line: its tag and its LRU rank.
+    /// Bytes of contents per line: its tag and its last-use stamp.
     pub(crate) const LINE_BYTES: u64 =
         (std::mem::size_of::<u64>() + std::mem::size_of::<u32>()) as u64;
 
@@ -53,8 +81,9 @@ impl DataCache {
         let sets = cfg.geometry.sets;
         let assoc = cfg.geometry.assoc;
         DataCache {
-            tags: vec![u64::MAX; (sets * assoc) as usize],
-            lru: (0..sets * assoc).map(|i| i % assoc).collect(),
+            tags: vec![0; (sets * assoc) as usize],
+            stamps: vec![0; (sets * assoc) as usize],
+            clock: 0,
             sets,
             assoc,
             offset_bits: cfg.geometry.offset_bits(),
@@ -63,14 +92,25 @@ impl DataCache {
         }
     }
 
+    /// A cache whose stamp clock starts at `clock`, so a test can
+    /// drive it through the wrap.
+    #[cfg(test)]
+    fn with_clock(cfg: &CacheConfig, clock: u32) -> DataCache {
+        DataCache {
+            clock,
+            ..DataCache::new(cfg)
+        }
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
+    /// The set of `addr` and its block's stored tag (tag plus one).
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.offset_bits;
-        match self.set_bits {
+        let (set, tag) = match self.set_bits {
             // Identical split to the modulo/divide below, minus the
             // divisions.
             Some(bits) => ((block & u64::from(self.sets - 1)) as usize, block >> bits),
@@ -78,7 +118,8 @@ impl DataCache {
                 (block % u64::from(self.sets)) as usize,
                 block / u64::from(self.sets),
             ),
-        }
+        };
+        (set, tag + 1)
     }
 
     /// Access `addr`; returns `true` on hit. On miss the block is
@@ -87,22 +128,14 @@ impl DataCache {
         self.stats.accesses += 1;
         let (set, tag) = self.set_and_tag(addr);
         let base = set * self.assoc as usize;
-        let ways = &mut self.tags[base..base + self.assoc as usize];
+        let ways = &self.tags[base..base + self.assoc as usize];
         if let Some(hit_way) = ways.iter().position(|&t| t == tag) {
-            self.touch(set, hit_way);
+            let stamp = self.tick();
+            self.stamps[base + hit_way] = stamp;
             return true;
         }
         self.stats.misses += 1;
-        // Evict the LRU way (largest recency value).
-        let lru_slice = &self.lru[base..base + self.assoc as usize];
-        let victim = lru_slice
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &v)| v)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.tags[base + victim] = tag;
-        self.touch(set, victim);
+        self.fill(base, tag);
         false
     }
 
@@ -112,17 +145,9 @@ impl DataCache {
     pub fn install(&mut self, addr: u64) {
         let (set, tag) = self.set_and_tag(addr);
         let base = set * self.assoc as usize;
-        if self.tags[base..base + self.assoc as usize].contains(&tag) {
-            return;
+        if !self.tags[base..base + self.assoc as usize].contains(&tag) {
+            self.fill(base, tag);
         }
-        let victim = self.lru[base..base + self.assoc as usize]
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &v)| v)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.tags[base + victim] = tag;
-        self.touch(set, victim);
     }
 
     /// Probe without modifying contents or statistics.
@@ -132,19 +157,48 @@ impl DataCache {
         self.tags[base..base + self.assoc as usize].contains(&tag)
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
-        let base = set * self.assoc as usize;
-        let old = self.lru[base + way];
-        if old == 0 {
-            // Already most-recently-used; nothing would shift.
-            return;
-        }
-        for v in &mut self.lru[base..base + self.assoc as usize] {
-            if *v < old {
-                *v += 1;
+    /// Put `tag` in the way of the set at `base` with the smallest
+    /// stamp, ties to the highest way, and stamp it.
+    fn fill(&mut self, base: usize, tag: u64) {
+        let mut victim = 0;
+        let mut oldest = u32::MAX;
+        for (way, &s) in self.stamps[base..base + self.assoc as usize]
+            .iter()
+            .enumerate()
+        {
+            if s <= oldest {
+                oldest = s;
+                victim = way;
             }
         }
-        self.lru[base + way] = 0;
+        let stamp = self.tick();
+        self.tags[base + victim] = tag;
+        self.stamps[base + victim] = stamp;
+    }
+
+    /// Advance the clock and return the new stamp.
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Renumber every set's used stamps `1..` in their current order
+    /// and restart the clock above them: victims compare stamps only
+    /// within a set, so every future choice is unchanged.
+    #[cold]
+    fn renumber(&mut self) {
+        let assoc = self.assoc as usize;
+        for set in self.stamps.chunks_exact_mut(assoc) {
+            let mut order: Vec<usize> = (0..assoc).filter(|&w| set[w] > 0).collect();
+            order.sort_unstable_by_key(|&w| set[w]);
+            for (rank, w) in order.into_iter().enumerate() {
+                set[w] = rank as u32 + 1;
+            }
+        }
+        self.clock = self.assoc;
     }
 }
 
@@ -174,28 +228,36 @@ pub struct Hierarchy {
     l1_lat: u64,
     l2_lat: u64,
     mem_lat: u64,
-    /// Small ring of outstanding L2/memory fills, split into parallel
-    /// fixed arrays (block, ready cycle) so the merge scan runs over
-    /// dense in-struct data — the scan is on the path of every memory
-    /// access while any fill is in flight.
+    /// Ring of the last [`MSHRS`] L2/memory fills as parallel fixed
+    /// arrays (block, ready cycle). A slot never written holds
+    /// [`NO_BLOCK`], which no access matches, so the merge probe can
+    /// compare every slot without a length.
     fill_block: [u64; MSHRS],
     fill_ready: [u64; MSHRS],
-    /// Slots of the fill ring in use (grows to [`MSHRS`], then the ring
-    /// recycles via `next_slot`).
-    fill_len: usize,
+    /// Slot the next fill overwrites: 0, 1, …, `MSHRS - 1`, 0, ….
     next_slot: usize,
-    /// Latest ready cycle ever recorded in `outstanding`: once `now`
-    /// passes it, no fill can still be in flight and the merge scan is
-    /// skipped entirely.
-    latest_fill: u64,
+    /// Latest ready cycle ever recorded for a block of each bucket
+    /// (`block % FILL_FILTER`): once `now` passes its bucket's value,
+    /// no fill of the block can still be in flight and the merge probe
+    /// is skipped.
+    fill_filter: [u64; FILL_FILTER],
     offset_bits: u32,
     prefetch: PrefetchKind,
     last_miss_block: u64,
     prefetches: u64,
 }
 
-/// Number of in-flight fills tracked for miss merging.
+/// Number of in-flight fills tracked for miss merging (at most 16:
+/// the merge probe's match mask is a `u16`).
 const MSHRS: usize = 16;
+
+/// Fill-ring block of a slot never written: blocks are addresses
+/// shifted right by at least 3 bits, so none is `u64::MAX`.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// Buckets of the pending-fill filter (power of two). Collisions only
+/// cost a wasted probe, never a wrong result.
+const FILL_FILTER: usize = 64;
 
 impl Hierarchy {
     /// Build the hierarchy from the two cache configurations and the
@@ -217,11 +279,10 @@ impl Hierarchy {
             l1_lat: u64::from(l1.latency),
             l2_lat: u64::from(l2.latency),
             mem_lat: u64::from(mem_cycles),
-            fill_block: [0; MSHRS],
+            fill_block: [NO_BLOCK; MSHRS],
             fill_ready: [0; MSHRS],
-            fill_len: 0,
             next_slot: 0,
-            latest_fill: 0,
+            fill_filter: [0; FILL_FILTER],
             offset_bits: l1.geometry.offset_bits(),
             prefetch,
             last_miss_block: u64::MAX,
@@ -280,9 +341,11 @@ impl Hierarchy {
     pub fn access(&mut self, addr: u64, now: u64) -> u64 {
         let after_l1 = now + self.l1_lat;
         let block = addr >> self.offset_bits;
-        // Every recorded fill is ready by `latest_fill`; once `now` is
-        // past it the scan cannot find a live entry.
-        let pending = if now < self.latest_fill {
+        // Every recorded fill of this block is ready by its bucket's
+        // filter value; once `now` is past it the probe cannot find a
+        // live entry.
+        let bucket = block as usize & (FILL_FILTER - 1);
+        let pending = if now < self.fill_filter[bucket] {
             // Two fills of one block can be pending at once: access
             // times are not monotone under out-of-order issue, so a
             // block can re-miss at a cycle past its first fill's
@@ -291,9 +354,25 @@ impl Hierarchy {
             // latest-ready one; that rule is part of the model (it
             // moves the Table 4 cores' stats), pinned by
             // `merge_takes_the_first_recorded_of_two_pending_fills`.
-            (0..self.fill_len)
-                .find(|&s| self.fill_block[s] == block && self.fill_ready[s] > now)
-                .map(|s| self.fill_ready[s])
+            // One branch-free pass over every slot builds the mask of
+            // the slots holding this block (usually none); its set bits,
+            // lowest first, are the matches in slot order, of which the
+            // first still in flight merges — as an early-exit scan in
+            // slot order would find.
+            let mut same = 0u16;
+            for s in 0..MSHRS {
+                same |= u16::from(self.fill_block[s] == block) << s;
+            }
+            let mut first = None;
+            while same != 0 {
+                let s = same.trailing_zeros() as usize;
+                if self.fill_ready[s] > now {
+                    first = Some(self.fill_ready[s]);
+                    break;
+                }
+                same &= same - 1;
+            }
+            first
         } else {
             None
         };
@@ -312,16 +391,10 @@ impl Hierarchy {
             after_l1 + self.l2_lat + self.mem_lat
         };
         self.issue_prefetches(block);
-        if self.fill_len < MSHRS {
-            self.fill_block[self.fill_len] = block;
-            self.fill_ready[self.fill_len] = ready;
-            self.fill_len += 1;
-        } else {
-            self.fill_block[self.next_slot] = block;
-            self.fill_ready[self.next_slot] = ready;
-            self.next_slot = (self.next_slot + 1) % MSHRS;
-        }
-        self.latest_fill = self.latest_fill.max(ready);
+        self.fill_block[self.next_slot] = block;
+        self.fill_ready[self.next_slot] = ready;
+        self.next_slot = (self.next_slot + 1) % MSHRS;
+        self.fill_filter[bucket] = self.fill_filter[bucket].max(ready);
         ready
     }
 }
@@ -468,6 +541,53 @@ mod tests {
         c.install(0x40);
         assert_eq!(c.stats().accesses, 0);
         assert!(c.probe(0x40));
+    }
+
+    /// An empty set fills from its highest way down, as the rank array
+    /// it replaced did. Which way holds a block is invisible to hits
+    /// and misses, so only the layout shows it.
+    #[test]
+    fn empty_set_fills_from_the_highest_way() {
+        let cfg = CacheConfig {
+            geometry: CacheGeometry::new(1, 4, 64),
+            latency: 2,
+        };
+        let mut c = DataCache::new(&cfg);
+        for block in 0..4u64 {
+            assert!(!c.access(block * 64));
+        }
+        assert_eq!(c.tags, [4, 3, 2, 1], "block b stored as b + 1");
+    }
+
+    /// Stamps renumbered at the clock's wrap keep every victim choice:
+    /// a cache whose clock starts just short of the wrap hits and
+    /// misses exactly as the frozen rank-LRU cache does, across the
+    /// wrap and after it.
+    #[test]
+    fn stamp_clock_wrap_keeps_lru_order() {
+        use crate::reference::cache::DataCache as RankLru;
+        use rand::{Rng, SeedableRng};
+        for assoc in [1, 2, 4, 16] {
+            let cfg = CacheConfig {
+                geometry: CacheGeometry::new(4, assoc, 64),
+                latency: 2,
+            };
+            let mut c = DataCache::with_clock(&cfg, u32::MAX - 100);
+            let mut r = RankLru::new(&cfg);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(u64::from(assoc));
+            for i in 0..5_000 {
+                // 8 × assoc blocks over 4 sets: constant conflict misses.
+                let addr = rng.gen_range(0..32 * u64::from(assoc)) * 64;
+                if i % 7 == 0 {
+                    c.install(addr);
+                    r.install(addr);
+                } else {
+                    assert_eq!(c.access(addr), r.access(addr), "assoc {assoc}, access {i}");
+                }
+            }
+            assert!(c.clock < 5_000, "the clock wrapped");
+            assert_eq!(c.stats(), r.stats());
+        }
     }
 
     #[test]

@@ -157,11 +157,13 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: positive
-    /// clock, width in 1..=16, non-zero structures, IQ not larger than
-    /// the ROB, non-zero pipeline depths and cache latencies, cache
-    /// geometries within the design space (sets and associativity at
-    /// most the largest explored candidate, power-of-two blocks of at
-    /// least 8 bytes), and an L2 at least as large as the L1.
+    /// clock, width in 1..=16, ROB, IQ and LSQ sizes in `1..=` the
+    /// largest explored candidate of `fit::ROB_SIZES` / `IQ_SIZES` /
+    /// `LSQ_SIZES`, IQ not larger than the ROB, non-zero pipeline
+    /// depths and cache latencies, cache geometries within the design
+    /// space (sets and associativity at most the largest explored
+    /// candidate, power-of-two blocks of at least 8 bytes), and an L2
+    /// at least as large as the L1.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.clock_ns.is_finite() && self.clock_ns > 0.0) {
             return Err(format!("clock period must be positive: {}", self.clock_ns));
@@ -169,8 +171,18 @@ impl CoreConfig {
         if !(1..=16).contains(&self.width) {
             return Err(format!("width out of range 1..=16: {}", self.width));
         }
-        if self.rob_size == 0 || self.iq_size == 0 || self.lsq_size == 0 {
-            return Err("ROB, IQ, and LSQ must be non-empty".to_string());
+        // A simulator allocates one ring entry per window slot, and a
+        // configuration may arrive off the network: bound each window
+        // by the largest explored candidate.
+        for (what, size, candidates) in [
+            ("ROB", self.rob_size, &fit::ROB_SIZES[..]),
+            ("IQ", self.iq_size, &fit::IQ_SIZES[..]),
+            ("LSQ", self.lsq_size, &fit::LSQ_SIZES[..]),
+        ] {
+            let max = candidates.iter().copied().max().unwrap_or(0);
+            if !(1..=max).contains(&size) {
+                return Err(format!("{what} size out of range 1..={max}: {size}"));
+            }
         }
         if self.iq_size > self.rob_size {
             return Err(format!(
@@ -198,8 +210,8 @@ impl CoreConfig {
 /// and associativity in `1..=` the largest candidate of
 /// `fit::CACHE_SETS` / `fit::CACHE_ASSOC`, and a block size that is a
 /// power of two of at least 8 bytes. A configuration may arrive off
-/// the network, and a simulator allocates one tag and one LRU rank per
-/// line, so an unbounded `sets × assoc` would overflow the line count
+/// the network, and a simulator allocates one tag and one last-use
+/// stamp per line, so an unbounded `sets × assoc` would overflow the line count
 /// or abort the process on allocation.
 fn validate_geometry(g: &CacheGeometry) -> Result<(), String> {
     let max_sets = fit::CACHE_SETS.iter().copied().max().unwrap_or(0);
@@ -311,6 +323,27 @@ mod tests {
         let mut c = CoreConfig::initial();
         c.l1.geometry.assoc = 1 << 20;
         assert!(c.validate().expect_err("huge L1").starts_with("L1 "));
+
+        // Windows: the design space's largest are valid, one past them
+        // or empty is not.
+        let window = |rob: u32, iq: u32, lsq: u32| {
+            let mut c = CoreConfig::initial();
+            (c.rob_size, c.iq_size, c.lsq_size) = (rob, iq, lsq);
+            c.validate()
+        };
+        assert!(window(1024, 64, 256).is_ok());
+        for (rob, iq, lsq, what) in [
+            (u32::MAX, 64, 64, "ROB"),
+            (1025, 64, 64, "ROB"),
+            (0, 64, 64, "ROB"),
+            (128, 65, 64, "IQ"),
+            (128, 0, 64, "IQ"),
+            (128, 64, 257, "LSQ"),
+            (128, 64, 0, "LSQ"),
+        ] {
+            let err = window(rob, iq, lsq).expect_err("hostile window");
+            assert!(err.starts_with(what), "{err}");
+        }
     }
 
     #[test]

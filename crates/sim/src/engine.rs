@@ -16,14 +16,17 @@
 //! so its bookkeeping is organized around three invariants (proved in
 //! DESIGN.md "Simulator hot path", enforced by
 //! `tests/engine_equivalence.rs` against
-//! [`crate::ReferenceSimulator`]):
+//! [`crate::ReferenceSimulator`], which keeps the pre-overhaul
+//! bookkeeping and the frozen rank-LRU caches of
+//! [`crate::reference::cache`]):
 //!
 //! * **Issue-slot frontier.** Every slot request is at least
 //!   `cur_fetch + frontend_depth + sched_depth`, and `cur_fetch` never
 //!   decreases — so per-cycle slot counters live in a sliding
 //!   [`SlotWindow`]: a dense ring indexed `cycle & (SLOT_WINDOW-1)`
 //!   for the cycles near the frontier, and a small sorted spill list
-//!   for far-future claims. O(1) amortized, no hashing, no allocation
+//!   for far-future claims. O(1) amortized (each cycle's counter is
+//!   zeroed once, as the floor passes it), no hashing, no allocation
 //!   in the common case, and auxiliary state is O(window) instead of
 //!   the old `HashMap`'s O(ops-between-prunes).
 //! * **Store-ring recency.** The 64-entry forwarding ring holds the
@@ -34,12 +37,20 @@
 //!   scan itself is unchanged when a match is possible, so forwarding
 //!   semantics (max data-ready among matching ring entries) are
 //!   untouched.
-//! * **Per-op state stays in registers.** The structural parameters
-//!   are hoisted out of [`CoreConfig`] into scalar fields at
-//!   construction, ring indices are carried incrementally instead of
-//!   recomputed with `%` (a division) per op, and operand readiness
+//! * **Per-op state stays in registers and in place.** The structural
+//!   parameters are hoisted out of [`CoreConfig`] into scalar fields
+//!   at construction, ring indices are carried incrementally instead
+//!   of recomputed with `%` (a division) per op, and operand readiness
 //!   reads through a sentinel register slot so the `Option<u8>` source
-//!   selects compile to branchless max chains.
+//!   selects compile to branchless max chains. Ops are read where they
+//!   already are: a replayed trace is stepped as 256-op slices of the
+//!   cached trace, and only a streamed trace is copied, once per chunk,
+//!   into a buffer ([`step_chunk`] is the one stepping loop).
+//!
+//! The data caches behind `step` are constant-time per way as well:
+//! last-use stamps instead of a rank array, zeroed arrays as the empty
+//! state, and a filtered one-pass probe of the pending fills (see
+//! [`crate::cache`]).
 
 use crate::cache::{DataCache, Hierarchy, PrefetchKind};
 use crate::config::CoreConfig;
@@ -329,7 +340,7 @@ impl Simulator {
     /// Run up to `max_ops` micro-ops of `trace` through the machine and
     /// return the measurements.
     pub fn run(mut self, trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) -> SimStats {
-        step_lockstep(std::slice::from_mut(&mut self), trace, max_ops);
+        step_streamed(std::slice::from_mut(&mut self), trace, max_ops);
         self.finish()
     }
 
@@ -542,55 +553,52 @@ impl Simulator {
     }
 }
 
-/// Step every simulator of `sims` over up to `max_ops` micro-ops of
-/// `trace`: the one stepping loop behind [`Simulator::run`],
-/// [`evaluate`] and [`evaluate_group`].
+/// Ops per chunk of the group kernel: every simulator of a group steps
+/// one chunk before the next one starts.
+const CHUNK: usize = 256;
+
+/// Step every simulator of `sims` over `chunk`: the one stepping loop
+/// behind [`Simulator::run`], [`evaluate`] and [`evaluate_group`].
 ///
-/// The trace is consumed in 256-op chunks, and each simulator steps a
-/// whole chunk before the next one starts. Producing a buffer of ops
-/// and then stepping it keeps each side's code and branch-history
-/// footprint resident instead of alternating generator and engine
+/// Each simulator steps the whole chunk before the next one starts.
+/// Stepping a buffer of ops keeps the engine's code and branch-history
+/// footprint resident instead of alternating op source and engine
 /// every op (~5% on the simulator bench), and one chunk per group
 /// means each op is produced once however many simulators consume it.
 /// Simulators share nothing, so each sees exactly the op sequence a
-/// lone run would: a group is bit-identical to separate runs. One
-/// buffer per call, no per-op allocation. The count is carried in u64
-/// — `take(max_ops as usize)` would silently truncate a >4G-op budget
-/// on 32-bit targets.
-fn step_lockstep(sims: &mut [Simulator], trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) {
-    const CHUNK: usize = 256;
+/// lone run would: a group is bit-identical to separate runs.
+fn step_chunk(sims: &mut [Simulator], chunk: &[MicroOp]) {
+    for sim in sims.iter_mut() {
+        for op in chunk {
+            sim.step(op);
+        }
+    }
+}
+
+/// Step every simulator of `sims` over up to `max_ops` micro-ops of a
+/// streamed `trace`, [`CHUNK`] ops at a time through one buffer (no
+/// per-op allocation). The count is carried in u64 — `take(max_ops as
+/// usize)` would silently truncate a >4G-op budget on 32-bit targets.
+fn step_streamed(sims: &mut [Simulator], trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) {
     let mut it = trace.into_iter();
     let mut buf: Vec<MicroOp> = Vec::with_capacity(CHUNK);
     let mut taken = 0u64;
     while taken < max_ops {
         buf.clear();
-        while (buf.len() as u64) < (max_ops - taken).min(CHUNK as u64) {
-            match it.next() {
-                Some(op) => buf.push(op),
-                None => break,
-            }
-        }
+        let want = (max_ops - taken).min(CHUNK as u64) as usize;
+        buf.extend(it.by_ref().take(want));
         if buf.is_empty() {
             break;
         }
         taken += buf.len() as u64;
-        for sim in sims.iter_mut() {
-            for op in &buf {
-                sim.step(op);
-            }
-        }
+        step_chunk(sims, &buf);
     }
 }
 
-/// Build one simulator per configuration, then step them all over
-/// `trace` (see [`step_lockstep`]).
-fn build_and_step(
-    configs: &[CoreConfig],
-    trace: impl IntoIterator<Item = MicroOp>,
-    ops: u64,
-) -> Vec<Simulator> {
+/// Build one simulator per configuration, then hand them to `step`.
+fn build_and_step(configs: &[CoreConfig], step: impl FnOnce(&mut [Simulator])) -> Vec<Simulator> {
     let mut sims: Vec<Simulator> = configs.iter().map(Simulator::new).collect();
-    step_lockstep(&mut sims, trace, ops);
+    step(&mut sims);
     sims
 }
 
@@ -625,10 +633,16 @@ pub fn evaluate_group(
     ops: u64,
 ) -> Vec<SimStats> {
     xps_workload::with_cached_trace(profile, ops, |trace| {
-        build_and_step(configs, trace.iter().copied(), ops)
+        build_and_step(configs, |sims| {
+            for chunk in trace.chunks(CHUNK) {
+                step_chunk(sims, chunk);
+            }
+        })
     })
     .unwrap_or_else(|| {
-        xps_workload::with_generator(profile, |g| build_and_step(configs, &mut *g, ops))
+        xps_workload::with_generator(profile, |g| {
+            build_and_step(configs, |sims| step_streamed(sims, &mut *g, ops))
+        })
     })
     .into_iter()
     .map(Simulator::finish)
@@ -643,7 +657,7 @@ pub fn evaluate(profile: &xps_workload::WorkloadProfile, cfg: &CoreConfig, ops: 
 }
 
 /// Bytes of a simulator's cache contents for `cfg`: one tag and one
-/// LRU rank per line of L1 and L2. These arrays dominate a
+/// last-use stamp per line of L1 and L2. These arrays dominate a
 /// [`Simulator`]'s memory (a Table 4 core holds up to 40,960 lines;
 /// every other structure is at most a few thousand entries).
 pub fn cache_state_bytes(cfg: &CoreConfig) -> u64 {

@@ -3,8 +3,11 @@
 //! This is the cycle engine exactly as it stood before the hot-loop
 //! overhaul in [`crate::engine`]: per-cycle issue-slot usage in a
 //! `HashMap` with periodic `retain` sweeps, and an unconditional
-//! 64-entry linear scan of the store ring on every load. It is kept —
-//! compiled into the library, not just test builds — for two jobs:
+//! 64-entry linear scan of the store ring on every load. Its data
+//! caches are the rank-LRU hierarchy of [`cache`], frozen before the
+//! constant-time [`crate::DataCache`] and [`crate::Hierarchy`]. It is
+//! kept — compiled into the library, not just test builds — for two
+//! jobs:
 //!
 //! 1. **Equivalence oracle.** The optimized engine must produce
 //!    bit-identical [`SimStats`] for every trace and configuration;
@@ -18,10 +21,13 @@
 //!
 //! Do not optimize this module; its value is that it does not change.
 
-use crate::cache::{Hierarchy, PrefetchKind};
+pub mod cache;
+
+use crate::cache::PrefetchKind;
 use crate::config::CoreConfig;
 use crate::predictor::{Predictor, PredictorKind};
 use crate::stats::SimStats;
+use cache::Hierarchy;
 use std::collections::HashMap;
 use xps_workload::{MicroOp, OpClass, REG_COUNT};
 

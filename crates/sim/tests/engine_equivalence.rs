@@ -1,7 +1,10 @@
 //! The optimized cycle engine must be a drop-in replacement for the
 //! pre-overhaul [`ReferenceSimulator`]: bit-identical [`SimStats`] on
-//! every trace and configuration. These tests drive both engines over
-//! the full SPEC profile set, proptest-randomized configurations, and
+//! every trace and configuration. The reference runs on the frozen
+//! rank-LRU caches of `xps_sim::reference::cache`, so the comparison
+//! covers the cache kernel too. These tests drive both engines over
+//! the full SPEC profile set, proptest-randomized configurations
+//! (every associativity and block size of the design space), and
 //! adversarial store/load aliasing streams built to stress exactly the
 //! bookkeeping the overhaul replaced (issue-slot ring vs `HashMap`,
 //! filtered store-forwarding lookup vs unconditional 64-entry scan).
@@ -9,7 +12,8 @@
 //! The lock-step group kernel ([`evaluate_group`]) is held to the same
 //! oracle: a group of K configurations must equal K scalar
 //! [`evaluate`] calls and K reference runs, on both sides of the
-//! replay-cache bound and of the 256-op chunk.
+//! replay-cache bound and of the 256-op chunk, and for a budget that
+//! replays a prefix of a longer cached trace.
 //!
 //! A final regression test pins the memory story: the optimized
 //! engine's auxiliary issue-slot state must stay O(window), not grow
@@ -17,7 +21,7 @@
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
-use xps_cacti::CacheGeometry;
+use xps_cacti::{fit, CacheGeometry};
 use xps_core::explore::{mutate, DesignPoint};
 use xps_core::{cacti::Technology, paper};
 use xps_sim::{
@@ -57,6 +61,14 @@ fn spec_profiles_match_reference() {
     }
 }
 
+/// An (associativity, block size) pair from the full design space.
+fn arb_ways() -> impl Strategy<Value = (u32, u32)> {
+    (
+        prop::sample::select(fit::CACHE_ASSOC.to_vec()),
+        prop::sample::select(fit::CACHE_BLOCKS.to_vec()),
+    )
+}
+
 fn arb_config() -> impl Strategy<Value = CoreConfig> {
     (
         0.15f64..0.6,
@@ -69,17 +81,22 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
         (
             1u32..6,
             prop::sample::select(vec![64u32, 128, 256]),
-            prop::sample::select(vec![1u32, 2, 4]),
+            arb_ways(),
         ),
         (
             4u32..25,
             prop::sample::select(vec![1024u32, 2048]),
-            prop::sample::select(vec![4u32, 8]),
+            arb_ways(),
         ),
     )
         .prop_map(|(clock, width, rob, iq, lsq, wakeup, sched, l1, l2)| {
-            let (l1_lat, l1_sets, l1_assoc) = l1;
-            let (l2_lat, l2_sets, l2_assoc) = l2;
+            let (l1_lat, l1_sets, a) = l1;
+            let (l2_lat, l2_sets, b) = l2;
+            // L2 has more sets than L1, so giving it the pair with the
+            // larger line bytes per set keeps it at least as large.
+            let bytes = |(assoc, block): (u32, u32)| assoc * block;
+            let ((l1_assoc, l1_block), (l2_assoc, l2_block)) =
+                if bytes(a) <= bytes(b) { (a, b) } else { (b, a) };
             CoreConfig {
                 name: "prop".to_string(),
                 clock_ns: clock,
@@ -92,11 +109,11 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
                 sched_depth: sched,
                 lsq_depth: 2,
                 l1: CacheConfig {
-                    geometry: CacheGeometry::new(l1_sets, l1_assoc, 64),
+                    geometry: CacheGeometry::new(l1_sets, l1_assoc, l1_block),
                     latency: l1_lat,
                 },
                 l2: CacheConfig {
-                    geometry: CacheGeometry::new(l2_sets, l2_assoc, 128),
+                    geometry: CacheGeometry::new(l2_sets, l2_assoc, l2_block),
                     latency: l2_lat,
                 },
             }
@@ -244,6 +261,20 @@ fn table4_groups_match_scalar_and_reference() {
         let ops = GROUP_OPS[k % GROUP_OPS.len()];
         let profile = spec::profile(spec::BENCHMARKS[k - 1]).expect("known benchmark");
         assert_group_matches(&profile, &cores[..k], ops);
+    }
+}
+
+/// A budget that is not a multiple of the 256-op chunk, replayed as a
+/// prefix of a longer trace the replay cache already holds: the cached
+/// slice ends mid-chunk and short of the trace, and the group kernel
+/// must step exactly the budget.
+#[test]
+fn replayed_prefix_ending_mid_chunk_matches_reference() {
+    let cores = paper::table4_configs();
+    let profile = spec::profile("twolf").expect("known benchmark");
+    evaluate_group(&profile, &cores[..1], 40_000);
+    for ops in [12_345, 257, 39_999] {
+        assert_group_matches(&profile, &cores[..3], ops);
     }
 }
 
