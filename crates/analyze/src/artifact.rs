@@ -7,8 +7,6 @@
 //! * **journals** (`*.jsonl`) — every record's FNV checksum matches
 //!   its payload, task keys are strictly ascending (the journal is a
 //!   sorted snapshot), and no key appears twice;
-//! * **queue journals** (`queue.json`) — every pending entry's id is
-//!   the content fingerprint of its canonical request;
 //! * **store records** (`<16 hex>.json`) — the header id matches the
 //!   filename, the body matches the header checksum, and any embedded
 //!   cross-performance matrix is well-formed;
@@ -29,22 +27,21 @@ use std::path::Path;
 use xps_core::cacti::fit;
 use xps_core::explore::fnv64;
 use xps_core::FAILED_CELL_IPT;
-use xps_serve::{body_checksum, content_id};
+use xps_serve::body_checksum;
 
 /// Every rule id the artifact checker can emit. Part of the known-id
 /// set an `xps-allow` may name (naming any other id is a deny), and
 /// of the catalog.
-pub(crate) const RULE_IDS: [&str; 6] = [
+pub(crate) const RULE_IDS: [&str; 5] = [
     "config-domain",
     "journal-record",
     "matrix-domain",
     "measured-envelope",
-    "queue-journal",
     "store-record",
 ];
 
 /// One-line catalog summaries for [`RULE_IDS`], in the same order.
-pub(crate) const RULE_SUMMARIES: [(&str, &str); 6] = [
+pub(crate) const RULE_SUMMARIES: [(&str, &str); 5] = [
     (
         "config-domain",
         "a realized configuration outside the model domains (clock range, candidate \
@@ -63,11 +60,6 @@ pub(crate) const RULE_SUMMARIES: [(&str, &str); 6] = [
     (
         "measured-envelope",
         "a measured-results envelope whose checksum does not recompute from its payload",
-    ),
-    (
-        "queue-journal",
-        "a queue-journal entry whose id is not the content fingerprint of its canonical \
-         request",
     ),
     (
         "store-record",
@@ -147,7 +139,6 @@ pub fn check_dir(dir: &Path) -> Result<Report, String> {
         };
         match kind {
             ArtifactKind::Journal => check_journal(&rel, &raw, &mut report.findings),
-            ArtifactKind::Queue => check_queue(&rel, &raw, &mut report.findings),
             ArtifactKind::StoreRecord(id) => {
                 check_store_record(&rel, &id, &raw, &mut report.findings)
             }
@@ -173,7 +164,6 @@ fn collect_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Resu
 
 enum ArtifactKind {
     Journal,
-    Queue,
     StoreRecord(String),
     Measured,
 }
@@ -182,9 +172,6 @@ fn classify(path: &Path) -> Option<ArtifactKind> {
     let name = path.file_name()?.to_str()?;
     if name.ends_with(".jsonl") {
         return Some(ArtifactKind::Journal);
-    }
-    if name == "queue.json" {
-        return Some(ArtifactKind::Queue);
     }
     if let Some(stem) = name.strip_suffix(".json") {
         if stem.len() == 16
@@ -270,62 +257,6 @@ fn check_journal(rel: &str, raw: &str, out: &mut Vec<Finding>) {
             }
         }
         prev = Some(task);
-    }
-}
-
-// ---------------------------------------------------------------------
-// queue journals
-
-fn check_queue(rel: &str, raw: &str, out: &mut Vec<Finding>) {
-    let Ok(v) = serde_json::from_str::<Value>(raw) else {
-        out.push(deny(
-            rel,
-            1,
-            "queue-journal",
-            "queue journal is not valid JSON".to_string(),
-            "remove the corrupt queue journal; unfinished jobs must be resubmitted",
-        ));
-        return;
-    };
-    let Ok(Value::Arr(pending)) = v.member("pending") else {
-        out.push(deny(
-            rel,
-            1,
-            "queue-journal",
-            "queue journal has no `pending` array".to_string(),
-            "remove the corrupt queue journal; unfinished jobs must be resubmitted",
-        ));
-        return;
-    };
-    for (i, item) in pending.iter().enumerate() {
-        let fields = (
-            item.member("id").and_then(|x| x.as_str().map(String::from)),
-            item.member("canonical")
-                .and_then(|x| x.as_str().map(String::from)),
-        );
-        let (Ok(id), Ok(canonical)) = fields else {
-            out.push(deny(
-                rel,
-                1,
-                "queue-journal",
-                format!("pending[{i}] is missing id/canonical"),
-                "remove the corrupt queue journal; unfinished jobs must be resubmitted",
-            ));
-            continue;
-        };
-        let expect = content_id(&canonical);
-        if id != expect {
-            out.push(deny(
-                rel,
-                1,
-                "queue-journal",
-                format!(
-                    "pending[{i}] id `{id}` is not the fingerprint of its canonical \
-                     request (expected `{expect}`)"
-                ),
-                "a mislabeled entry would coalesce unrelated requests; remove the entry",
-            ));
-        }
     }
 }
 
@@ -724,6 +655,7 @@ fn check_config(rel: &str, at: &str, config: &Value, out: &mut Vec<Finding>) {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use xps_serve::content_id;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xps-analyze-{name}-{}", std::process::id()));
@@ -773,24 +705,6 @@ mod tests {
             "{:?}",
             r.findings
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn queue_journal_fingerprints_are_checked() {
-        let dir = tmp("queue");
-        let good = content_id("{\"kind\":\"explore\"}");
-        std::fs::write(
-            dir.join("queue.json"),
-            format!(
-                "{{\"pending\":[{{\"id\":\"{good}\",\"canonical\":\"{}\"}},\
-                 {{\"id\":\"0000000000000000\",\"canonical\":\"{}\"}}]}}",
-                "{\\\"kind\\\":\\\"explore\\\"}", "{\\\"kind\\\":\\\"explore\\\"}"
-            ),
-        )
-        .expect("write");
-        let r = check_dir(&dir).expect("walk");
-        assert_eq!(rules_of(&r), vec!["queue-journal"], "{:?}", r.findings);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -32,9 +32,9 @@
 //!   hash and rules fingerprint, so unchanged files skip the
 //!   lex/parse work while reports stay byte-identical to a cold run.
 //! * **Artifact checker** — [`artifact::check_dir`] validates
-//!   journals, queue journals, store records, and measured-results
-//!   files against their checksum formats and the model domains,
-//!   without running a simulation.
+//!   journals, store records, and measured-results files against
+//!   their checksum formats and the model domains, without running a
+//!   simulation.
 //!
 //! All three are exposed through the `xps-analyze` binary and the
 //! `repro analyze` subcommand; `.github/workflows/ci.yml` runs them as

@@ -149,7 +149,7 @@ pub fn profile(o: &Opts) -> Outcome {
     let ctx = RunContext::from_env()?.with_trace(trace.clone());
     let cache = EvalCache::new();
     let (root, outcome) = with_recorder(trace.recorder(), || {
-        pipeline.run_recoverable_with(&profiles, &ctx, &cache, None)
+        pipeline.run_recoverable_with(&profiles, &ctx, &cache)
     });
     trace.attach("main", root);
     outcome?;

@@ -156,7 +156,7 @@ const ADDR: Flag = Flag {
         o.addr = Some(v.to_string());
         Ok(())
     }),
-    help: "daemon bind / client target address",
+    help: "daemon bind address",
 };
 
 const DATA_DIR: Flag = Flag {
@@ -482,23 +482,12 @@ pub static COMMANDS: &[Command] = &[
     Command {
         name: "serve",
         in_all: false,
-        summary: "run the exploration-as-a-service daemon until SIGTERM",
+        summary: "run a fleet worker daemon (POST /tasks) until SIGTERM",
         flags: &[&[
             (ADDR, serving::DEFAULT_ADDR),
             (DATA_DIR, serving::DEFAULT_DATA_DIR),
-            (JOBS, "available parallelism, per campaign"),
         ]],
         run: serving::serve,
-    },
-    Command {
-        name: "client",
-        in_all: false,
-        summary: "submit a gzip+mcf exploration to a running daemon",
-        flags: &[&[
-            (ADDR, serving::DEFAULT_ADDR),
-            (QUICK, "off; the quick profile (--quick: smoke)"),
-        ]],
-        run: serving::client,
     },
     Command {
         name: "fleet",
@@ -888,6 +877,7 @@ mod tests {
             "fleet --budget 5",
             "explore --check",
             "serve --quick",
+            "serve --jobs 2",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let (cmd, flag) = (args[0], args[1]);

@@ -1,16 +1,15 @@
-//! The serving path: the daemon (`serve`), its smoke client
-//! (`client`), and the fleet coordinator (`fleet`), plus the one
-//! fleet constructor that `scale` and `bakeoff` dispatch through too.
+//! The serving path: the fleet worker daemon (`serve`) and the fleet
+//! coordinator (`fleet`), plus the one fleet constructor that `scale`
+//! and `bakeoff` dispatch through too.
 
 use crate::cli::{Opts, Outcome};
 use std::error::Error;
 use std::path::PathBuf;
 use std::sync::Arc;
-use xps_bench::render_table;
 use xps_core::explore::RunContext;
 use xps_serve::{FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport};
 
-/// Default daemon bind / client target address.
+/// Default daemon bind address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7780";
 /// Default daemon state root.
 pub const DEFAULT_DATA_DIR: &str = "results/serve";
@@ -73,10 +72,9 @@ pub fn print_fleet_stats(fleet: &Fleet) {
     );
 }
 
-/// Run the exploration-as-a-service daemon in the foreground until
-/// SIGTERM/ctrl-c, serving explore/evaluate/combination/slowdown jobs
-/// over HTTP. `--addr` sets the bind address, `--data-dir` the state
-/// root, `--jobs` the worker threads per campaign.
+/// Run the fleet worker daemon in the foreground until SIGTERM/ctrl-c,
+/// executing the task specs coordinators POST to `/tasks`. `--addr`
+/// sets the bind address, `--data-dir` the result store's root.
 pub fn serve(o: &Opts) -> Outcome {
     use xps_serve::{install_signal_handlers, Server, ServerConfig};
     let mut config = ServerConfig::new(
@@ -85,7 +83,6 @@ pub fn serve(o: &Opts) -> Outcome {
             .unwrap_or_else(|| PathBuf::from(DEFAULT_DATA_DIR)),
     );
     config.addr = o.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_string());
-    config.pipeline_jobs = o.jobs;
     let server = Server::bind(&config)?;
     let addr = server.local_addr()?;
     install_signal_handlers(server.shutdown_handle());
@@ -95,58 +92,6 @@ pub fn serve(o: &Opts) -> Outcome {
     );
     server.run()?;
     println!("xps-serve drained cleanly");
-    Ok(())
-}
-
-/// Submit one exploration to a running daemon (`repro serve` or the
-/// `xps-serve` binary), stream a few progress events, and print the
-/// customized configurations — the end-to-end smoke of the serving
-/// path. `--quick` uses the seconds-scale smoke profile.
-pub fn client(o: &Opts) -> Outcome {
-    use xps_serve::client;
-    let addr = o.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.to_string());
-    // Probe reachability first, with bounded retries: a daemon that is
-    // down yields one actionable message (address, attempts, backoff,
-    // how to start one) instead of a raw I/O error from mid-protocol.
-    client::request_retrying(
-        &addr,
-        "GET",
-        "/healthz",
-        None,
-        &client::RetryPolicy::default(),
-    )?;
-    let profile = if o.quick { "smoke" } else { "quick" };
-    let job_json =
-        format!(r#"{{"kind":"explore","profile":"{profile}","workloads":["gzip","mcf"]}}"#);
-    println!("submitting to {addr}: {job_json}");
-    let (job, resp) = client::submit(&addr, &job_json)?;
-    println!("job {job}: HTTP {} {}", resp.status, resp.body);
-    if resp.status == 202 {
-        let shown = client::stream_events(&addr, &job, 5, |line| println!("  event: {line}"))?;
-        println!("  ({shown} progress events shown)");
-    }
-    let body = client::wait_for_result(&addr, &job, std::time::Duration::from_secs(1200))?;
-    let doc: serde::Value =
-        serde_json::from_str(&body).map_err(|e| format!("result is not JSON: {e}"))?;
-    if let Ok(serde::Value::Arr(cores)) = doc.member("cores") {
-        let mut rows = Vec::new();
-        for core in cores {
-            let name = core
-                .member("profile")
-                .and_then(|p| p.member("name"))
-                .and_then(|v| v.as_str().map(String::from))
-                .unwrap_or_else(|_| "?".to_string());
-            let ipt = match core.member("ipt") {
-                Ok(serde::Value::F64(x)) => format!("{x:.2}"),
-                _ => "?".to_string(),
-            };
-            rows.push(vec![name, ipt]);
-        }
-        println!(
-            "{}",
-            render_table(&["benchmark".into(), "customized IPT".into()], &rows)
-        );
-    }
     Ok(())
 }
 

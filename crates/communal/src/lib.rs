@@ -40,7 +40,6 @@ mod methodology;
 mod metrics;
 mod pareto;
 mod partition;
-mod query;
 mod schedule;
 mod subset;
 mod surrogate;
@@ -53,9 +52,6 @@ pub use methodology::{compare_methodologies, MethodologyComparison};
 pub use metrics::Merit;
 pub use pareto::{combination_front, hypervolume, pareto_front, ComboParetoEntry, ParetoPoint};
 pub use partition::{balanced_partition, BalancedPartition};
-pub use query::{
-    combination_query, merit_by_name, slowdown_row, QueryError, SlowdownEntry, SlowdownRow,
-};
 pub use schedule::{simulate_jobs, JobPolicy, ScheduleOptions, ScheduleStats};
 pub use subset::{
     cluster, dendrogram, nearest_neighbor, pitfall_experiment, Cluster, Dendrogram, Merge,

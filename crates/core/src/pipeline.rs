@@ -10,7 +10,7 @@ use std::ops::Range;
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
     merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, ExploreOptions,
-    ProgressSink, RecoveryStats, RunContext,
+    RecoveryStats, RunContext,
 };
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
@@ -342,16 +342,14 @@ impl Pipeline {
         profiles: &[WorkloadProfile],
         ctx: &RunContext,
     ) -> Result<PipelineResult, PipelineError> {
-        self.run_recoverable_with(profiles, ctx, &EvalCache::new(), None)
+        self.run_recoverable_with(profiles, ctx, &EvalCache::new())
     }
 
     /// [`Pipeline::run_recoverable`] against a caller-supplied
-    /// evaluation cache and an optional progress sink — the embedding
-    /// entry point for a long-lived service. The cache outlives the
-    /// run, so a daemon serving repeated or overlapping requests reuses
-    /// every evaluation across them; the sink streams annealing steps
-    /// and task completions live. Both are observational: results are
-    /// bit-identical to [`Pipeline::run_recoverable`].
+    /// evaluation cache, which outlives the run: a caller running
+    /// repeated or overlapping campaigns reuses every evaluation across
+    /// them. Results are bit-identical to
+    /// [`Pipeline::run_recoverable`].
     ///
     /// # Errors
     ///
@@ -361,14 +359,10 @@ impl Pipeline {
         profiles: &[WorkloadProfile],
         ctx: &RunContext,
         cache: &EvalCache,
-        progress: Option<&ProgressSink>,
     ) -> Result<PipelineResult, PipelineError> {
         self.validate()?;
-        let mut explorer = Campaign::try_new(self.explore.clone())?;
-        if let Some(sink) = progress {
-            explorer = explorer.with_progress(sink.clone());
-        }
-        let explored = explorer.explore_recoverable(profiles, cache, ctx)?;
+        let explored =
+            Campaign::try_new(self.explore.clone())?.explore_recoverable(profiles, cache, ctx)?;
         let mut configs: Vec<CoreConfig> =
             explored.cores.iter().map(|c| c.config.clone()).collect();
         let (matrix, matrix_tasks) = cross_matrix_recoverable(
@@ -422,6 +416,17 @@ mod tests {
         expected.matrix_ops = 8_000;
         assert_eq!(p, expected, "the pinned budget over the quick pipeline");
         p.validate().expect("the smoke budget is a valid pipeline");
+    }
+
+    #[test]
+    fn full_budgets_fit_the_task_op_bound() {
+        // A fleet worker refuses an evaluation longer than
+        // `MAX_TASK_OPS`; the longest any in-repo driver sends (the full
+        // campaign, `repro bakeoff`'s default search) must dispatch.
+        let full = Pipeline::default();
+        assert!(full.matrix_ops <= xps_explore::MAX_TASK_OPS);
+        assert!(full.explore.anneal.eval_ops_late <= xps_explore::MAX_TASK_OPS);
+        assert!(xps_explore::SearchOptions::default().eval_ops <= xps_explore::MAX_TASK_OPS);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::{energy_delay_product, CoreConfig, SimStats};
-use xps_trace::{ProgressEvent, ProgressSink};
 use xps_workload::WorkloadProfile;
 
 /// What the annealer maximizes.
@@ -268,22 +267,6 @@ pub fn anneal_with(
     tech: &Technology,
     cache: Option<&EvalCache>,
 ) -> AnnealResult {
-    anneal_observed(profile, start, opts, tech, cache, None)
-}
-
-/// [`anneal_with`] plus an optional progress sink that receives one
-/// [`ProgressEvent::AnnealStep`] per iteration (tagged `start: 0`; a
-/// multi-start caller re-tags through a wrapping sink). Observation is
-/// read-only: the walk, and therefore the result, is bit-identical
-/// with or without a sink.
-pub fn anneal_observed(
-    profile: &WorkloadProfile,
-    start: &DesignPoint,
-    opts: &AnnealOptions,
-    tech: &Technology,
-    cache: Option<&EvalCache>,
-    sink: Option<&ProgressSink>,
-) -> AnnealResult {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ profile.seed);
     let name = profile.name.clone();
     let walk = xps_trace::span("anneal.walk");
@@ -352,7 +335,11 @@ pub fn anneal_observed(
                 rejected += 1;
             }
             xps_trace::instant("anneal.move", || {
-                xps_trace::attrs([("it", (it + 1).into()), ("accepted", accept.into())])
+                xps_trace::attrs([
+                    ("it", (it + 1).into()),
+                    ("temp", temp.into()),
+                    ("accepted", accept.into()),
+                ])
             });
             if ipt > best_ipt {
                 best = cur.clone();
@@ -369,21 +356,15 @@ pub fn anneal_observed(
         } else {
             rejected_unrealizable += 1;
             xps_trace::instant("anneal.move", || {
-                xps_trace::attrs([("it", (it + 1).into()), ("unrealizable", true.into())])
+                xps_trace::attrs([
+                    ("it", (it + 1).into()),
+                    ("temp", temp.into()),
+                    ("unrealizable", true.into()),
+                ])
             });
         }
         temp *= opts.cooling;
         history.push(best_ipt);
-        if let Some(sink) = sink {
-            sink.emit(&ProgressEvent::AnnealStep {
-                workload: name.clone(),
-                start: 0,
-                iteration: it + 1,
-                iterations: opts.iterations,
-                temperature: temp,
-                best: best_ipt,
-            });
-        }
     }
 
     // Final measurement at the long trace length for a fair Table 5.

@@ -18,10 +18,6 @@ pub enum TaskFailure {
     Panicked(String),
     /// The task failed with an injected (or otherwise reported) error.
     Failed(String),
-    /// The task was skipped because the run was cancelled (graceful
-    /// shutdown); it was never attempted and is *not* a failure — a
-    /// resumed run re-executes it.
-    Cancelled,
 }
 
 impl fmt::Display for TaskFailure {
@@ -29,7 +25,6 @@ impl fmt::Display for TaskFailure {
         match self {
             TaskFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
             TaskFailure::Failed(msg) => write!(f, "failed: {msg}"),
-            TaskFailure::Cancelled => write!(f, "cancelled before execution"),
         }
     }
 }
@@ -83,10 +78,6 @@ pub enum ExploreError {
     },
     /// The checkpoint journal could not be read or written.
     Journal(JournalError),
-    /// The run was cancelled (graceful shutdown). Completed tasks are
-    /// already journaled, so a resumed run picks up where this one
-    /// stopped.
-    Cancelled,
 }
 
 impl fmt::Display for ExploreError {
@@ -98,12 +89,6 @@ impl fmt::Display for ExploreError {
                 write!(f, "every anneal of `{workload}` failed; last: {error}")
             }
             ExploreError::Journal(e) => write!(f, "journal: {e}"),
-            ExploreError::Cancelled => {
-                write!(
-                    f,
-                    "run cancelled; completed tasks are checkpointed for resume"
-                )
-            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The full §4 methodology: per-workload annealing plus
 //! cross-configuration seeding across workloads.
 
-use crate::anneal::{anneal_observed, AnnealOptions, AnnealResult};
+use crate::anneal::{anneal_with, AnnealOptions, AnnealResult};
 use crate::cache::{CacheCounters, EvalCache};
 use crate::error::{ExploreError, TaskError};
 use crate::parallel::{merge_counts, resolve_jobs};
@@ -10,7 +10,6 @@ use crate::recovery::{RecoveryStats, RunContext};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
-use xps_trace::{ProgressEvent, ProgressSink};
 use xps_workload::WorkloadProfile;
 
 /// Options for a full exploration campaign.
@@ -121,7 +120,6 @@ pub struct ExplorationResult {
 pub struct Campaign {
     opts: ExploreOptions,
     tech: Technology,
-    progress: Option<ProgressSink>,
 }
 
 impl Campaign {
@@ -137,7 +135,6 @@ impl Campaign {
         Ok(Campaign {
             opts,
             tech: Technology::default(),
-            progress: None,
         })
     }
 
@@ -159,20 +156,7 @@ impl Campaign {
     /// Panics when the options are invalid.
     pub fn with_technology(opts: ExploreOptions, tech: Technology) -> Campaign {
         opts.validate().unwrap_or_else(|e| panic!("{e}"));
-        Campaign {
-            opts,
-            tech,
-            progress: None,
-        }
-    }
-
-    /// Attach a progress sink: every annealing iteration of the
-    /// campaign emits one [`ProgressEvent::AnnealStep`] (tagged with
-    /// the workload and the multi-start index). Observation is
-    /// read-only — results are bit-identical with or without a sink.
-    pub fn with_progress(mut self, sink: ProgressSink) -> Campaign {
-        self.progress = Some(sink);
-        self
+        Campaign { opts, tech }
     }
 
     /// The technology in use.
@@ -267,8 +251,7 @@ impl Campaign {
                 // The wire description of this walk: same profile,
                 // start, options (with the multi-start seed mixed in),
                 // and technology the local closure below uses, so a
-                // dispatched anneal is bit-identical. Remote walks skip
-                // the local progress sink — observation only.
+                // dispatched anneal is bit-identical.
                 let (p, i) = (&profiles[t / starts.len()], t % starts.len());
                 let mut opts = self.opts.anneal.clone();
                 opts.seed ^= (i as u64) << 32;
@@ -280,32 +263,7 @@ impl Campaign {
                 let (p, i) = (&profiles[t / starts.len()], t % starts.len());
                 let mut opts = self.opts.anneal.clone();
                 opts.seed ^= (i as u64) << 32;
-                // Wrap the campaign sink so this walk's steps carry
-                // their multi-start index (the annealer itself always
-                // tags `start: 0`).
-                let sink = self.progress.as_ref().map(|outer| {
-                    let outer = outer.clone();
-                    let start = i as u32;
-                    ProgressSink::new(move |e| match e {
-                        ProgressEvent::AnnealStep {
-                            workload,
-                            iteration,
-                            iterations,
-                            temperature,
-                            best,
-                            ..
-                        } => outer.emit(&ProgressEvent::AnnealStep {
-                            workload: workload.clone(),
-                            start,
-                            iteration: *iteration,
-                            iterations: *iterations,
-                            temperature: *temperature,
-                            best: *best,
-                        }),
-                        other => outer.emit(other),
-                    })
-                });
-                anneal_observed(p, &starts[i], &opts, &self.tech, Some(cache), sink.as_ref())
+                anneal_with(p, &starts[i], &opts, &self.tech, Some(cache))
             },
         )?;
         anneal_phase.end_with(|| xps_trace::attr("tasks", profiles.len() * starts.len()));
@@ -408,14 +366,7 @@ impl Campaign {
                         &self.tech,
                     );
                     let reanneal = ctx.run_task_described("reanneal", respec, || {
-                        anneal_observed(
-                            &profiles[i],
-                            &seed_point,
-                            &re_opts,
-                            &self.tech,
-                            Some(cache),
-                            self.progress.as_ref(),
-                        )
+                        anneal_with(&profiles[i], &seed_point, &re_opts, &self.tech, Some(cache))
                     })?;
                     if let Ok(r) = reanneal {
                         if r.ipt > results[i].ipt {
@@ -561,60 +512,6 @@ mod tests {
             Err(ExploreError::WorkloadFailed { workload, .. }) => assert_eq!(workload, "gzip"),
             other => panic!("expected WorkloadFailed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn progress_sink_observes_without_changing_results() {
-        use std::sync::{Arc, Mutex};
-        let profiles = vec![
-            spec::profile("gzip").expect("gzip exists"),
-            spec::profile("mcf").expect("mcf exists"),
-        ];
-        let mut opts = ExploreOptions::quick();
-        opts.anneal.iterations = 8;
-        opts.anneal.eval_ops_early = 3000;
-        opts.anneal.eval_ops_late = 6000;
-        opts.reanneal_iterations = 3;
-        opts.jobs = 2;
-        let plain = Campaign::new(opts.clone()).explore(&profiles);
-        let steps: Arc<Mutex<Vec<(String, u32, u32)>>> = Arc::default();
-        let sink = {
-            let steps = steps.clone();
-            ProgressSink::new(move |e| {
-                if let ProgressEvent::AnnealStep {
-                    workload,
-                    start,
-                    iteration,
-                    ..
-                } = e
-                {
-                    steps
-                        .lock()
-                        .unwrap()
-                        .push((workload.clone(), *start, *iteration));
-                }
-            })
-        };
-        let observed = Campaign::new(opts.clone())
-            .with_progress(sink)
-            .explore(&profiles);
-        for (a, b) in plain.cores.iter().zip(&observed.cores) {
-            assert_eq!(a.point, b.point);
-            assert!((a.ipt - b.ipt).abs() == 0.0, "observation must not perturb");
-        }
-        let steps = steps.lock().unwrap();
-        // Three starts per workload, `iterations` steps per start, plus
-        // any re-anneal steps.
-        let base = 2 * 3 * opts.anneal.iterations as usize;
-        assert!(steps.len() >= base, "{} < {base}", steps.len());
-        assert!(steps.iter().any(|(w, _, _)| w == "gzip"));
-        assert!(
-            steps.iter().any(|(_, s, _)| *s == 2),
-            "corner starts tagged"
-        );
-        assert!(steps
-            .iter()
-            .all(|(_, _, it)| *it >= 1 && *it <= opts.anneal.iterations));
     }
 
     #[test]

@@ -60,12 +60,9 @@ mod parallel;
 mod point;
 mod recovery;
 mod search;
-mod stats;
 mod task;
 
-pub use anneal::{
-    anneal, anneal_observed, anneal_with, score, score_with, AnnealOptions, AnnealResult, Objective,
-};
+pub use anneal::{anneal, anneal_with, score, score_with, AnnealOptions, AnnealResult, Objective};
 pub use cache::{CacheCounters, EvalCache};
 pub use error::{ExploreError, TaskError, TaskFailure};
 pub use explorer::{Campaign, CustomizedCore, ExplorationResult, ExploreOptions, ExploreStats};
@@ -79,9 +76,7 @@ pub use search::{
     crossover, explorer_by_name, mutate, search, AnnealExplorer, CurvePoint, EvalBudget, Explorer,
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,
 };
-pub use stats::EngineStats;
-pub use task::{TaskDispatcher, TaskKind, TaskSpec, TaskSpecError};
-pub use xps_trace::{ProgressEvent, ProgressSink};
+pub use task::{TaskDispatcher, TaskKind, TaskSpec, TaskSpecError, MAX_TASK_OPS};
 
 /// Re-exported fixed design constants (the paper's Table 2).
 pub mod constants {

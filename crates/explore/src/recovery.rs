@@ -28,9 +28,9 @@ use crate::parallel::run_parallel;
 use crate::task::{TaskDispatcher, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use xps_trace::{with_recorder, ProgressEvent, ProgressSink, TraceSink};
+use xps_trace::{with_recorder, TraceSink};
 
 /// Default retry budget: a task may fail twice and still succeed on
 /// its third attempt before being declared failed.
@@ -73,8 +73,6 @@ pub struct FanOutcome<T> {
 pub struct RunContext {
     journal: Option<Journal>,
     faults: Option<FaultPlan>,
-    cancel: Option<Arc<AtomicBool>>,
-    observer: Option<ProgressSink>,
     trace: Option<TraceSink>,
     dispatcher: Option<Arc<dyn TaskDispatcher>>,
     retries: u32,
@@ -101,8 +99,6 @@ impl RunContext {
         RunContext {
             journal: None,
             faults: None,
-            cancel: None,
-            observer: None,
             trace: None,
             dispatcher: None,
             retries: DEFAULT_RETRIES,
@@ -148,24 +144,6 @@ impl RunContext {
         self
     }
 
-    /// Attach a cancellation flag (graceful shutdown). Once the flag
-    /// is set, not-yet-started tasks are skipped and the surrounding
-    /// fan returns [`ExploreError::Cancelled`]; tasks that already
-    /// completed are journaled as usual, so a resumed run re-executes
-    /// only the skipped work.
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> RunContext {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Attach a progress observer, called once per finished task
-    /// (executed or journal-salvaged). Observational only: results are
-    /// bit-identical with or without an observer.
-    pub fn with_observer(mut self, observer: ProgressSink) -> RunContext {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Attach a trace sink: every executed task records its spans into
     /// a private per-task recorder, filed under the task's journal key
     /// when the task succeeds. Tracks are keyed deterministically, so
@@ -197,13 +175,6 @@ impl RunContext {
     /// part of [`RecoveryStats`], whose serialized shape is stable).
     pub fn remote_dispatched(&self) -> u64 {
         self.remote.load(Ordering::Relaxed)
-    }
-
-    /// Whether the cancellation flag is set.
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
     /// Override the retry budget (extra attempts after a failure).
@@ -273,9 +244,9 @@ impl RunContext {
     /// dispatch's body is decoded as the item value, and any decline
     /// or decode failure falls back to the local closure `f`. Without
     /// a dispatcher — or when `describe` returns `None` — this is
-    /// exactly `run_fan`. Journaling, retries, cancellation, and
-    /// result ordering are identical either way, which is what keeps a
-    /// fleet-gathered campaign byte-identical to a single-node run.
+    /// exactly `run_fan`. Journaling, retries, and result ordering are
+    /// identical either way, which is what keeps a fleet-gathered
+    /// campaign byte-identical to a single-node run.
     ///
     /// # Errors
     ///
@@ -295,9 +266,6 @@ impl RunContext {
     {
         let fan = self.fan_seq.fetch_add(1, Ordering::Relaxed);
         let key_of = |i: usize| format!("{label}#{fan}/{i}");
-        if self.cancelled() {
-            return Err(ExploreError::Cancelled);
-        }
         let mut slots: Vec<Option<Result<T, TaskError>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let mut missing: Vec<usize> = Vec::with_capacity(n);
@@ -327,12 +295,6 @@ impl RunContext {
                         xps_trace::instant("journal.salvage", || {
                             xps_trace::attr("task", key.as_str())
                         });
-                        if let Some(obs) = &self.observer {
-                            obs.emit(&ProgressEvent::TaskDone {
-                                key,
-                                salvaged: true,
-                            });
-                        }
                         *slot = Some(Ok(value));
                     }
                     None => missing.push(i),
@@ -365,14 +327,6 @@ impl RunContext {
                         slot.get_or_insert(e);
                     }
                 }
-                if result.is_ok() {
-                    if let Some(obs) = &self.observer {
-                        obs.emit(&ProgressEvent::TaskDone {
-                            key,
-                            salvaged: false,
-                        });
-                    }
-                }
                 result
             });
             per_worker = run.per_worker;
@@ -387,12 +341,6 @@ impl RunContext {
             .take()
         {
             return Err(e.into());
-        }
-        // A cancelled fan aborts the run *after* persisting whatever
-        // completed: the journal now holds every finished task, and the
-        // skipped ones re-run on resume.
-        if self.cancelled() {
-            return Err(ExploreError::Cancelled);
         }
         let items = slots
             .into_iter()
@@ -441,7 +389,7 @@ impl RunContext {
 
     /// Offer one fan item to the attached dispatcher. Any reason not
     /// to run remotely — no dispatcher, no task description, a
-    /// cancelled run, a declined dispatch, or a response body that
+    /// declined dispatch, or a response body that
     /// does not decode as the item type — yields `None`, and the item
     /// runs locally instead.
     fn dispatch_remote<T, D>(&self, key: &str, i: usize, describe: &D) -> Option<T>
@@ -450,9 +398,6 @@ impl RunContext {
         D: Fn(usize) -> Option<TaskSpec>,
     {
         let dispatcher = self.dispatcher.as_ref()?;
-        if self.cancelled() {
-            return None;
-        }
         let spec = describe(i)?;
         let body = dispatcher.dispatch(key, &spec)?;
         match serde_json::from_str::<T>(&body) {
@@ -495,16 +440,6 @@ impl RunContext {
         let max_attempts = self.retries.saturating_add(1);
         let mut failure = TaskFailure::Failed("no attempts made".into());
         for attempt in 0..max_attempts {
-            // Cancellation short-circuits tasks that have not run yet;
-            // this is a skip, not a failure, so it is neither retried
-            // nor listed in the failed-task report.
-            if self.cancelled() {
-                return Err(TaskError {
-                    task: key.to_string(),
-                    attempts: attempt,
-                    failure: TaskFailure::Cancelled,
-                });
-            }
             if attempt > 0 {
                 self.retried.fetch_add(1, Ordering::Relaxed);
             }
@@ -671,87 +606,6 @@ mod tests {
         let journal = Journal::open(&path).expect("open");
         assert_eq!(journal.loaded(), 2, "only the two successes persist");
         assert!(journal.get("w#0/1").is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cancellation_skips_pending_tasks_and_resumes() {
-        let path = tmp("cancel");
-        let cancel = Arc::new(AtomicBool::new(false));
-        let calls = AtomicUsize::new(0);
-        {
-            let ctx = RunContext::new()
-                .with_journal(Journal::create(&path).expect("create"))
-                .with_cancel(cancel.clone());
-            let err = ctx
-                .run_fan(1, "c", 6, |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    if i == 2 {
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                    i as u64
-                })
-                .expect_err("cancelled mid-fan");
-            assert!(matches!(err, ExploreError::Cancelled));
-            // One worker runs items in order: 0, 1, 2 complete, the
-            // flag flips during 2, and 3..6 are skipped.
-            assert_eq!(calls.load(Ordering::Relaxed), 3);
-            // Skips are not failures.
-            assert!(ctx.stats().failed_tasks.is_empty());
-        }
-        // Resume without the flag: only the skipped tasks execute.
-        let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
-        let fan = ctx
-            .run_fan(1, "c", 6, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                i as u64
-            })
-            .expect("resumed fan");
-        for (i, r) in fan.items.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("ok"), i as u64);
-        }
-        let s = ctx.stats();
-        assert_eq!((s.salvaged, s.executed), (3, 3));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn already_cancelled_context_refuses_new_fans() {
-        let cancel = Arc::new(AtomicBool::new(true));
-        let ctx = RunContext::new().with_cancel(cancel);
-        let err = ctx
-            .run_fan(2, "c", 4, |i| i as u64)
-            .expect_err("refused up front");
-        assert!(matches!(err, ExploreError::Cancelled));
-        assert_eq!(ctx.stats().executed, 0);
-    }
-
-    #[test]
-    fn observer_reports_executed_and_salvaged_tasks() {
-        let seen: Arc<Mutex<Vec<(String, bool)>>> = Arc::default();
-        let sink = {
-            let seen = seen.clone();
-            ProgressSink::new(move |e| {
-                if let ProgressEvent::TaskDone { key, salvaged } = e {
-                    seen.lock().unwrap().push((key.clone(), *salvaged));
-                }
-            })
-        };
-        let path = tmp("observer");
-        {
-            let ctx = RunContext::new()
-                .with_journal(Journal::create(&path).expect("create"))
-                .with_observer(sink.clone());
-            ctx.run_fan(1, "o", 2, |i| i as u64).expect("fan");
-        }
-        let ctx = RunContext::new()
-            .with_journal(Journal::open(&path).expect("open"))
-            .with_observer(sink);
-        ctx.run_fan(1, "o", 2, |i| i as u64).expect("fan");
-        let events = seen.lock().unwrap().clone();
-        assert_eq!(events.len(), 4);
-        assert!(events[..2].iter().all(|(_, salvaged)| !*salvaged));
-        assert!(events[2..].iter().all(|(_, salvaged)| *salvaged));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -30,6 +30,14 @@ use xps_cacti::Technology;
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
 
+/// Largest trace length, in micro-ops, one evaluation of a task may
+/// ask for: an eval spec's `ops`, an anneal's early and late
+/// evaluation lengths, a search's `eval_ops`. Four times the longest
+/// any in-repo driver sends (the full pipeline's 1,000,000-op matrix
+/// cells), so no real campaign meets it, while a spec off the network
+/// cannot pin a worker with an unbounded budget.
+pub const MAX_TASK_OPS: u64 = 4_000_000;
+
 /// Which pipeline task a [`TaskSpec`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaskKind {
@@ -167,7 +175,8 @@ impl TaskSpec {
     ///
     /// Returns a [`TaskSpecError`] when the spec is incoherent
     /// (missing payload for its kind) or invalid (an empty or invalid
-    /// configuration group, a zero op budget, bad options). A spec may
+    /// configuration group, an op budget of zero or above
+    /// [`MAX_TASK_OPS`], bad options). A spec may
     /// come off the network, so nothing in it is trusted before this
     /// check. Execution itself is infallible: the engine is total over
     /// validated inputs.
@@ -180,6 +189,7 @@ impl TaskSpec {
                 };
                 opts.validate()
                     .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
+                within_budget(opts.eval_ops_early.max(opts.eval_ops_late))?;
                 let result = anneal_with(&self.profile, start, opts, tech, Some(cache));
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
                 Ok(serde_json::to_string(&result).expect("task results serialize to JSON"))
@@ -191,6 +201,7 @@ impl TaskSpec {
                 if self.ops == 0 {
                     return Err(TaskSpecError::ZeroOps);
                 }
+                within_budget(self.ops)?;
                 for (index, config) in self.configs.iter().enumerate() {
                     config
                         .validate()
@@ -218,6 +229,7 @@ impl TaskSpec {
                 };
                 let explorer = explorer_by_name(name)
                     .ok_or_else(|| TaskSpecError::UnknownExplorer(name.clone()))?;
+                within_budget(opts.eval_ops)?;
                 let outcome = crate::search::search(&*explorer, &self.profile, tech, opts, cache)
                     .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
@@ -225,6 +237,14 @@ impl TaskSpec {
             }
         }
     }
+}
+
+/// Refuse an evaluation length above [`MAX_TASK_OPS`].
+fn within_budget(ops: u64) -> Result<(), TaskSpecError> {
+    if ops > MAX_TASK_OPS {
+        return Err(TaskSpecError::OpsTooLarge(ops));
+    }
+    Ok(())
 }
 
 /// Why [`TaskSpec::execute`] refused a spec.
@@ -236,6 +256,9 @@ pub enum TaskSpecError {
     EmptyGroup,
     /// An eval spec with a zero op budget.
     ZeroOps,
+    /// An evaluation length above [`MAX_TASK_OPS`] (carries the
+    /// requested length).
+    OpsTooLarge(u64),
     /// Configuration `index` of an eval spec fails
     /// [`CoreConfig::validate`].
     InvalidConfig {
@@ -256,6 +279,9 @@ impl std::fmt::Display for TaskSpecError {
             TaskSpecError::MissingPayload(fields) => write!(f, "{fields} missing"),
             TaskSpecError::EmptyGroup => write!(f, "eval task has no configs"),
             TaskSpecError::ZeroOps => write!(f, "eval task needs ops >= 1"),
+            TaskSpecError::OpsTooLarge(ops) => {
+                write!(f, "{ops} ops exceed the task bound of {MAX_TASK_OPS}")
+            }
             TaskSpecError::InvalidConfig { index, detail } => {
                 write!(f, "eval config {index} invalid: {detail}")
             }
@@ -417,5 +443,26 @@ mod tests {
         assert!(a.execute(&EvalCache::new()).is_err());
         let z = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], 0);
         assert_eq!(z.execute(&cache), Err(TaskSpecError::ZeroOps));
+        // Every evaluation length a spec carries is bounded.
+        let over = MAX_TASK_OPS + 1;
+        let e = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], u64::MAX);
+        assert_eq!(e.execute(&cache), Err(TaskSpecError::OpsTooLarge(u64::MAX)));
+        let mut opts = AnnealOptions::quick();
+        opts.eval_ops_late = over;
+        let tech = Technology::default();
+        let a = TaskSpec::anneal(&gzip(), &DesignPoint::initial(), &opts, &tech);
+        assert_eq!(a.execute(&cache), Err(TaskSpecError::OpsTooLarge(over)));
+        let search = SearchOptions {
+            budget: 4,
+            eval_ops: over,
+            seed: 1,
+        };
+        let s = TaskSpec::search(&gzip(), "anneal", &search, &tech);
+        assert_eq!(s.execute(&cache), Err(TaskSpecError::OpsTooLarge(over)));
+        assert_eq!(
+            cache.counters().misses,
+            0,
+            "a refused spec simulates nothing"
+        );
     }
 }

@@ -2,11 +2,8 @@
 //! schedule, greedy acceptance at near-zero temperature, and the
 //! option-validation surface.
 
-use std::sync::{Arc, Mutex, PoisonError};
 use xps_cacti::Technology;
-use xps_explore::{
-    anneal_observed, AnnealOptions, DesignPoint, ExploreError, ProgressEvent, ProgressSink,
-};
+use xps_explore::{anneal_with, AnnealOptions, DesignPoint, ExploreError};
 use xps_trace::{with_recorder, AttrValue, Event, EventKind, SpanRecorder};
 use xps_workload::spec;
 
@@ -18,42 +15,33 @@ fn tiny_opts() -> AnnealOptions {
     opts
 }
 
-/// Run one observed walk and capture both the progress steps and the
-/// trace events.
-fn run_walk(opts: &AnnealOptions) -> (Vec<(u32, f64, f64)>, Vec<Event>) {
+/// Run one traced walk and capture one step per iteration — its
+/// number, the temperature its move was decided at (from the
+/// `anneal.move` instants), and the best IPT so far (from the result's
+/// history) — plus the trace events.
+fn run_walk(opts: &AnnealOptions) -> (Vec<(u64, f64, f64)>, Vec<Event>) {
     let profile = spec::profile("gzip").expect("known benchmark");
-    let steps: Arc<Mutex<Vec<(u32, f64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = {
-        let steps = steps.clone();
-        ProgressSink::new(move |ev| {
-            if let ProgressEvent::AnnealStep {
-                iteration,
-                temperature,
-                best,
-                ..
-            } = ev
-            {
-                steps.lock().unwrap_or_else(PoisonError::into_inner).push((
-                    *iteration,
-                    *temperature,
-                    *best,
-                ));
-            }
-        })
-    };
     let tech = Technology::default();
-    let (rec, _result) = with_recorder(SpanRecorder::new(), || {
-        anneal_observed(
-            &profile,
-            &DesignPoint::initial(),
-            opts,
-            &tech,
-            None,
-            Some(&sink),
-        )
+    let (rec, result) = with_recorder(SpanRecorder::new(), || {
+        anneal_with(&profile, &DesignPoint::initial(), opts, &tech, None)
     });
-    let steps = steps.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    (steps, rec.finish())
+    let events = rec.finish();
+    let attr = |e: &Event, key: &str| {
+        e.attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let steps = events
+        .iter()
+        .filter(|e| e.name == "anneal.move")
+        .zip(&result.history)
+        .map(|(e, &best)| match (attr(e, "it"), attr(e, "temp")) {
+            (Some(AttrValue::U64(it)), Some(AttrValue::F64(temp))) => (it, temp, best),
+            other => panic!("anneal.move lacks it/temp: {other:?}"),
+        })
+        .collect();
+    (steps, events)
 }
 
 fn walk_end_attr(events: &[Event], key: &str) -> u64 {
@@ -78,8 +66,8 @@ fn cooling_schedule_is_monotone_geometric() {
     );
     // Iterations arrive in order, temperatures decay geometrically.
     for (i, &(iteration, temperature, _)) in steps.iter().enumerate() {
-        assert_eq!(iteration, i as u32 + 1);
-        let expected = opts.temperature * opts.cooling.powi(i as i32 + 1);
+        assert_eq!(iteration, i as u64 + 1);
+        let expected = opts.temperature * opts.cooling.powi(i as i32);
         assert!(
             (temperature - expected).abs() <= 1e-12 * expected,
             "step {iteration}: temperature {temperature} != {expected}"

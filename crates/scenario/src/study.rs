@@ -277,15 +277,6 @@ impl StudyReport {
     }
 }
 
-/// The canonical name of a figure of merit.
-fn merit_name(m: Merit) -> &'static str {
-    match m {
-        Merit::Average => "avg",
-        Merit::HarmonicMean => "har",
-        Merit::ContentionWeightedHarmonicMean => "cw-har",
-    }
-}
-
 /// Split `n` workloads into panels of `panel`; a final remainder too
 /// small for the methodology comparison (fewer than `2 * cores`
 /// members) is merged into the previous panel.
@@ -353,9 +344,7 @@ pub fn run_study(
         let panel_span = trace::span("scale.panel");
 
         let campaign_span = trace::span("scale.campaign");
-        let result = opts
-            .pipeline
-            .run_recoverable_with(members, ctx, &cache, None)?;
+        let result = opts.pipeline.run_recoverable_with(members, ctx, &cache)?;
         campaign_span.end_with(|| trace::attr("workloads", members.len()));
 
         let char_span = trace::span("scale.characterize");
@@ -464,7 +453,7 @@ pub fn run_study(
         seed: spec.seed,
         panel: opts.panel,
         cores: opts.cores,
-        merit: merit_name(opts.merit).to_string(),
+        merit: opts.merit.label().to_string(),
         pitfall_threshold: opts.pitfall_threshold,
         panels,
         gap,
@@ -514,13 +503,5 @@ mod tests {
         assert_eq!(family_prefix("expected-0012"), "expected");
         assert_eq!(family_prefix("cw-har-0001"), "cw-har");
         assert_eq!(family_prefix("plain"), "plain");
-    }
-
-    #[test]
-    fn merit_names_are_parseable_by_communal() {
-        use xps_core::communal::merit_by_name;
-        for m in Merit::ALL {
-            assert_eq!(merit_by_name(merit_name(m)).expect("known"), m);
-        }
     }
 }

@@ -1,22 +1,20 @@
-//! The exploration-as-a-service daemon.
+//! The fleet worker daemon.
 //!
 //! ```text
-//! xps-serve [--addr HOST:PORT] [--data-dir PATH] [--capacity N]
-//!           [--workers N] [--jobs N]
+//! xps-serve [--addr HOST:PORT] [--data-dir PATH]
 //! ```
 //!
-//! Binds the HTTP endpoint, resumes any jobs a previous process left
-//! unfinished in the data directory, and serves until SIGTERM/SIGINT,
-//! at which point it drains gracefully: the in-flight job checkpoints
-//! to its journal and is re-queued, so the next start completes it
-//! byte-identically.
+//! Binds the HTTP endpoint over the result store in the data directory
+//! (results a previous process stored are answered again without
+//! re-running) and serves `/tasks` until SIGTERM/SIGINT, at which
+//! point it drains gracefully: it stops accepting, answers every
+//! request already accepted, and exits 0.
 
 use std::io::Write;
 use std::process::ExitCode;
 use xps_serve::{install_signal_handlers, Server, ServerConfig};
 
-const USAGE: &str = "usage: xps-serve [--addr HOST:PORT] [--data-dir PATH] [--capacity N] \
-[--workers N] [--jobs N]";
+const USAGE: &str = "usage: xps-serve [--addr HOST:PORT] [--data-dir PATH]";
 
 fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::new("xps-serve-data");
@@ -37,28 +35,6 @@ fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
         match name {
             "--addr" => config.addr = value(args, &mut i, "--addr")?,
             "--data-dir" => config.data_dir = value(args, &mut i, "--data-dir")?.into(),
-            "--capacity" => {
-                let v = value(args, &mut i, "--capacity")?;
-                config.queue_capacity = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--capacity expects a number >= 1, got `{v}`"))?;
-            }
-            "--workers" => {
-                let v = value(args, &mut i, "--workers")?;
-                config.workers = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--workers expects a number >= 1, got `{v}`"))?;
-            }
-            "--jobs" => {
-                let v = value(args, &mut i, "--jobs")?;
-                config.pipeline_jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
@@ -120,26 +96,17 @@ mod tests {
 
     #[test]
     fn parses_flags_in_both_spellings() {
-        let c = parse_config(&strs(&[
-            "--addr",
-            "0.0.0.0:9000",
-            "--data-dir=/tmp/d",
-            "--capacity=3",
-            "--workers",
-            "2",
-            "--jobs=4",
-        ]))
-        .expect("parses");
+        let c =
+            parse_config(&strs(&["--addr", "0.0.0.0:9000", "--data-dir=/tmp/d"])).expect("parses");
         assert_eq!(c.addr, "0.0.0.0:9000");
         assert_eq!(c.data_dir, std::path::PathBuf::from("/tmp/d"));
-        assert_eq!((c.queue_capacity, c.workers, c.pipeline_jobs), (3, 2, 4));
     }
 
     #[test]
     fn rejects_bad_flags_with_usage() {
-        assert!(parse_config(&strs(&["--capacity", "0"]))
-            .expect_err("zero capacity")
-            .contains("--capacity"));
+        assert!(parse_config(&strs(&["--workers", "2"]))
+            .expect_err("retired flag")
+            .contains("unknown flag"));
         assert!(parse_config(&strs(&["--frobnicate"]))
             .expect_err("unknown")
             .contains("unknown flag"));

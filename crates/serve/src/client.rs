@@ -1,18 +1,15 @@
 //! A tiny blocking HTTP client for the daemon.
 //!
 //! Deliberately minimal and dependency-free, like the server's HTTP
-//! layer: one request per connection, `Content-Length` or chunked
-//! response bodies. It exists so the `client` example, the
-//! integration tests, and `repro client` all drive the daemon through
-//! the same code path instead of three hand-rolled socket loops.
+//! layer: one request per connection, `Content-Length` (or
+//! read-to-close) response bodies. The fleet transport and the
+//! integration tests read the daemon's responses through it.
 
 use crate::error::ServeError;
-use crate::http::read_chunked;
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
-use xps_core::explore::fnv64;
+use std::time::Duration;
 
 /// Bound on establishing a connection: a daemon that is down or
 /// unroutable should fail fast, not hang the client.
@@ -39,7 +36,7 @@ fn connect(addr: &str) -> Result<TcpStream, ServeError> {
 pub struct Response {
     /// The status code.
     pub status: u16,
-    /// The decoded body (chunked bodies are de-framed).
+    /// The body.
     pub body: String,
 }
 
@@ -78,79 +75,6 @@ pub fn request(
     read_response(&mut BufReader::new(stream))
 }
 
-/// Bounded retries for [`request_retrying`]: attempt `k`'s retry
-/// waits `backoff_base_ms * 2^k` plus seeded jitter in
-/// `[0, backoff_base_ms)` — a pure function of `(policy, path,
-/// attempt)`, never the clock.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total connection attempts before giving up (at least 1).
-    pub attempts: u32,
-    /// Base backoff between attempts, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Seed for the deterministic jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            backoff_base_ms: 200,
-            seed: 0xc11e,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The deterministic backoff after attempt `attempt` (0-based) of
-    /// a request to `path`.
-    pub fn backoff_ms(&self, path: &str, attempt: u32) -> u64 {
-        let base = self.backoff_base_ms.max(1);
-        let key = format!("{path}@{attempt}");
-        (base << attempt.min(6)) + fnv64(self.seed, key.as_bytes()) % base
-    }
-}
-
-/// [`request`], retried under `policy` when the daemon cannot be
-/// reached at all (connection refused, reset, or timed out). Errors
-/// that prove the daemon is alive — an HTTP response, bad framing —
-/// are returned immediately; only transport-level failures retry.
-///
-/// # Errors
-///
-/// [`ServeError::Unreachable`] after the attempt budget is spent,
-/// carrying the address, attempt count, last transport error, and the
-/// backoff a further retry would have waited — everything
-/// `repro client` needs to print an actionable message instead of a
-/// raw I/O error.
-pub fn request_retrying(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> Result<Response, ServeError> {
-    let attempts = policy.attempts.max(1);
-    let mut last = String::new();
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(policy.backoff_ms(path, attempt - 1)));
-        }
-        match request(addr, method, path, body) {
-            Ok(resp) => return Ok(resp),
-            Err(ServeError::Io(e)) => last = e.to_string(),
-            Err(other) => return Err(other),
-        }
-    }
-    Err(ServeError::Unreachable {
-        addr: addr.to_string(),
-        attempts,
-        next_backoff_ms: policy.backoff_ms(path, attempts.saturating_sub(1)),
-        last,
-    })
-}
-
 /// Parse a status line + headers + body from `r`.
 ///
 /// # Errors
@@ -167,7 +91,6 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, ServeError> {
             ServeError::BadRequest(format!("malformed status line `{}`", line.trim()))
         })?;
     let mut content_length: Option<usize> = None;
-    let mut chunked = false;
     loop {
         let mut header = String::new();
         r.read_line(&mut header)?;
@@ -176,18 +99,12 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, ServeError> {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
-            match name.trim().to_ascii_lowercase().as_str() {
-                "content-length" => content_length = value.trim().parse().ok(),
-                "transfer-encoding" if value.trim().eq_ignore_ascii_case("chunked") => {
-                    chunked = true;
-                }
-                _ => {}
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().ok();
             }
         }
     }
-    let body = if chunked {
-        read_chunked(r)?
-    } else if let Some(len) = content_length {
+    let body = if let Some(len) = content_length {
         let mut buf = vec![0u8; len];
         r.read_exact(&mut buf)
             .map_err(|_| ServeError::BadRequest("response body truncated".into()))?;
@@ -204,95 +121,6 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, ServeError> {
     })
 }
 
-/// Submit a job request and return `(job id, submit response)`.
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] when the daemon refuses the submission
-/// (carrying its status and body), plus the [`request`] errors.
-pub fn submit(addr: &str, job_json: &str) -> Result<(String, Response), ServeError> {
-    let resp = request(addr, "POST", "/jobs", Some(job_json))?;
-    if resp.status != 200 && resp.status != 202 {
-        return Err(ServeError::BadRequest(format!(
-            "submission refused: HTTP {}: {}",
-            resp.status, resp.body
-        )));
-    }
-    let id = resp
-        .json()?
-        .member("job")
-        .and_then(|v| v.as_str().map(String::from))
-        .map_err(ServeError::BadRequest)?;
-    Ok((id, resp))
-}
-
-/// Poll `GET /jobs/<id>` until the job finishes, returning the result
-/// document (HTTP 200 body).
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] when the job fails, is unknown, or
-/// `timeout` elapses first.
-pub fn wait_for_result(addr: &str, job: &str, timeout: Duration) -> Result<String, ServeError> {
-    // xps-allow(determinism-provenance): client-side poll deadline; results come from the store, not the clock
-    let deadline = Instant::now() + timeout;
-    loop {
-        let resp = request(addr, "GET", &format!("/jobs/{job}"), None)?;
-        match resp.status {
-            200 => return Ok(resp.body),
-            202 => {}
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "job `{job}` did not complete: HTTP {other}: {}",
-                    resp.body
-                )))
-            }
-        }
-        // xps-allow(determinism-provenance): client-side poll deadline; results come from the store, not the clock
-        if Instant::now() >= deadline {
-            return Err(ServeError::BadRequest(format!(
-                "job `{job}` still pending after {timeout:?}"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
-/// Stream up to `max_lines` NDJSON progress lines from
-/// `GET /jobs/<id>/events`, invoking `on_line` per line, until the
-/// feed closes or the cap is reached.
-///
-/// # Errors
-///
-/// As [`request`].
-pub fn stream_events(
-    addr: &str,
-    job: &str,
-    max_lines: usize,
-    mut on_line: impl FnMut(&str),
-) -> Result<usize, ServeError> {
-    let mut stream = connect(addr)?;
-    write!(
-        stream,
-        "GET /jobs/{job}/events HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut r = BufReader::new(stream);
-    let resp = read_response(&mut r)?;
-    if resp.status != 200 {
-        return Err(ServeError::BadRequest(format!(
-            "event stream refused: HTTP {}: {}",
-            resp.status, resp.body
-        )));
-    }
-    let mut n = 0;
-    for line in resp.body.lines().take(max_lines) {
-        on_line(line);
-        n += 1;
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,54 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_chunked_response() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
-        let r = read_response(&mut Cursor::new(&raw[..])).expect("parses");
-        assert_eq!((r.status, r.body.as_str()), (200, "abc"));
-    }
-
-    #[test]
     fn rejects_garbage_status_line() {
         let e = read_response(&mut Cursor::new(&b"not http\r\n\r\n"[..])).expect_err("garbage");
         assert!(e.to_string().contains("status line"));
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_and_exponential() {
-        let policy = RetryPolicy::default();
-        for attempt in 0..8 {
-            let ms = policy.backoff_ms("/jobs", attempt);
-            assert_eq!(ms, policy.backoff_ms("/jobs", attempt));
-            let exp = policy.backoff_base_ms << attempt.min(6);
-            assert!((exp..exp + policy.backoff_base_ms).contains(&ms));
-        }
-        assert_ne!(
-            policy.backoff_ms("/jobs", 0),
-            policy.backoff_ms("/metrics", 0),
-            "jitter varies by path"
-        );
-    }
-
-    #[test]
-    fn unreachable_daemon_yields_an_actionable_error() {
-        // Port 1 on loopback refuses connections; keep the retry
-        // budget minimal so the test stays fast.
-        let policy = RetryPolicy {
-            attempts: 2,
-            backoff_base_ms: 1,
-            seed: 7,
-        };
-        let e = request_retrying("127.0.0.1:1", "GET", "/healthz", None, &policy)
-            .expect_err("no daemon on port 1");
-        assert_eq!(e.status(), 500);
-        let msg = e.to_string();
-        for needle in [
-            "127.0.0.1:1",
-            "2 attempts",
-            "is the daemon running?",
-            "repro serve",
-        ] {
-            assert!(msg.contains(needle), "`{needle}` missing from `{msg}`");
-        }
     }
 }

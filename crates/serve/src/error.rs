@@ -8,7 +8,8 @@
 use std::fmt;
 use xps_core::PipelineError;
 
-/// Everything that can fail while serving a request or running a job.
+/// Everything that can fail while serving a request or running a
+/// campaign.
 #[derive(Debug)]
 pub enum ServeError {
     /// The request is syntactically or semantically malformed
@@ -30,12 +31,6 @@ pub enum ServeError {
         /// The configured ceiling.
         limit: usize,
     },
-    /// The job queue is at capacity; the client should back off and
-    /// retry. 429.
-    QueueFull {
-        /// The configured queue capacity.
-        capacity: usize,
-    },
     /// A stored result record failed its checksum or did not parse;
     /// carries the path so the operator can inspect or delete it. 500.
     StoreCorrupt {
@@ -50,23 +45,6 @@ pub enum ServeError {
     Pipeline(PipelineError),
     /// A dispatched task panicked on this worker. 500.
     TaskPanicked(String),
-    /// A peer could not be reached after bounded retries; carries
-    /// everything an operator needs to act (who, how hard we tried,
-    /// what the transport said, how long the next backoff would be).
-    /// Client-side only — never rendered as an HTTP response.
-    Unreachable {
-        /// The address that refused or timed out.
-        addr: String,
-        /// Connection attempts made before giving up.
-        attempts: u32,
-        /// The backoff a further retry would wait, milliseconds.
-        next_backoff_ms: u64,
-        /// The last transport error observed.
-        last: String,
-    },
-    /// The daemon is draining for shutdown and accepts no new work.
-    /// 503.
-    ShuttingDown,
 }
 
 impl ServeError {
@@ -77,13 +55,10 @@ impl ServeError {
             ServeError::NotFound(_) => 404,
             ServeError::MethodNotAllowed { .. } => 405,
             ServeError::TooLarge { .. } => 413,
-            ServeError::QueueFull { .. } => 429,
             ServeError::StoreCorrupt { .. }
             | ServeError::Io(_)
             | ServeError::Pipeline(_)
-            | ServeError::TaskPanicked(_)
-            | ServeError::Unreachable { .. } => 500,
-            ServeError::ShuttingDown => 503,
+            | ServeError::TaskPanicked(_) => 500,
         }
     }
 }
@@ -99,30 +74,14 @@ impl fmt::Display for ServeError {
             ServeError::TooLarge { got, limit } => {
                 write!(f, "body of {got} bytes exceeds the {limit}-byte limit")
             }
-            ServeError::QueueFull { capacity } => {
-                write!(f, "job queue full ({capacity} pending); retry later")
-            }
             ServeError::StoreCorrupt { path, detail } => write!(
                 f,
-                "stored result {} is corrupt ({detail}); delete it to re-run the job",
+                "stored result {} is corrupt ({detail}); delete it to re-run the task",
                 path.display()
             ),
             ServeError::Io(e) => write!(f, "i/o: {e}"),
             ServeError::Pipeline(e) => write!(f, "pipeline: {e}"),
             ServeError::TaskPanicked(msg) => write!(f, "task panicked on worker: {msg}"),
-            ServeError::Unreachable {
-                addr,
-                attempts,
-                next_backoff_ms,
-                last,
-            } => write!(
-                f,
-                "cannot reach xps-serve at {addr} after {attempts} attempt{}: {last}; \
-                 is the daemon running? start one with `repro serve --addr {addr}`; \
-                 a further retry would back off {next_backoff_ms} ms",
-                if *attempts == 1 { "" } else { "s" }
-            ),
-            ServeError::ShuttingDown => write!(f, "daemon is draining for shutdown"),
         }
     }
 }
@@ -160,14 +119,12 @@ mod tests {
         assert_eq!(
             ServeError::MethodNotAllowed {
                 method: "PUT".into(),
-                path: "/jobs".into()
+                path: "/tasks".into()
             }
             .status(),
             405
         );
         assert_eq!(ServeError::TooLarge { got: 9, limit: 1 }.status(), 413);
-        assert_eq!(ServeError::QueueFull { capacity: 4 }.status(), 429);
-        assert_eq!(ServeError::ShuttingDown.status(), 503);
         let corrupt = ServeError::StoreCorrupt {
             path: "/tmp/x.json".into(),
             detail: "checksum mismatch".into(),

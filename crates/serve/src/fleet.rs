@@ -32,18 +32,33 @@
 //!   the dispatcher declines and the task runs coordinator-local: the
 //!   campaign always completes, degraded but correct.
 
-use crate::engine::{campaign_document, JobRequest, Profile, Question};
 use crate::error::ServeError;
 use crate::store::{body_checksum, content_id};
 use crate::transport::Transport;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use xps_core::explore::{fnv64, EvalCache, RunContext, TaskDispatcher, TaskSpec};
 use xps_core::workload::spec;
-use xps_core::PipelineError;
+use xps_core::{Pipeline, PipelineError};
+
+/// The pipeline of a named campaign profile: `smoke` ([`Pipeline::smoke`],
+/// seconds) or `quick` ([`Pipeline::quick`]), on `jobs` worker threads.
+fn profile_pipeline(profile: &str, jobs: usize) -> Result<Pipeline, ServeError> {
+    let mut p = match profile {
+        "smoke" => Pipeline::smoke(),
+        "quick" => Pipeline::quick(),
+        other => {
+            return Err(ServeError::BadRequest(format!(
+                "unknown profile `{other}`; known: smoke, quick"
+            )))
+        }
+    };
+    p.explore.jobs = jobs;
+    Ok(p)
+}
 
 /// Tuning for a fleet coordinator.
 #[derive(Debug, Clone)]
@@ -404,8 +419,9 @@ pub(crate) fn open_envelope(envelope: &str) -> Result<String, String> {
 pub struct FleetReport {
     /// The campaign document — byte-identical to a single-node run.
     pub document: String,
-    /// The campaign's content id (same addressing as the daemon's
-    /// store, so workers that ran the campaign share the entry).
+    /// The campaign's content id: the store fingerprint of its
+    /// canonical `{"profile":…,"workloads":[…]}` description, so equal
+    /// campaigns — however their workloads were listed — share it.
     pub campaign_id: String,
     /// Tasks answered by remote workers during this run.
     pub remote_tasks: u64,
@@ -417,8 +433,8 @@ pub struct FleetReport {
 /// canonical campaign document. Placement, retries, quarantine, and
 /// degradation never change the output bytes: every task result is a
 /// pure function of its spec, results merge in item order, and the
-/// document is emitted through the same
-/// [`campaign_document`] serialization point as the daemon.
+/// document is emitted through the one [`campaign_document`]
+/// serialization point.
 ///
 /// # Errors
 ///
@@ -431,7 +447,7 @@ pub fn run_campaign_with_fleet(
     jobs: usize,
     fleet: &Arc<Fleet>,
 ) -> Result<FleetReport, ServeError> {
-    let profile = Profile::parse(profile)?;
+    let pipeline = profile_pipeline(profile, jobs)?;
     let mut names: Vec<String> = workloads.to_vec();
     names.sort();
     names.dedup();
@@ -457,20 +473,43 @@ pub fn run_campaign_with_fleet(
     let ctx = RunContext::from_env()
         .map_err(|e| ServeError::Pipeline(PipelineError::from(e)))?
         .with_dispatcher(fleet.clone());
-    let pipeline = profile.pipeline(jobs);
-    let result = pipeline.run_recoverable_with(&profiles, &ctx, &cache, None)?;
-    let document = campaign_document(&names, &result);
-    let request = JobRequest {
-        question: Question::Explore,
-        workloads: names,
-        profile,
-    };
+    let result = pipeline.run_recoverable_with(&profiles, &ctx, &cache)?;
     Ok(FleetReport {
-        document,
-        campaign_id: content_id(&request.campaign_canonical()),
+        document: campaign_document(&names, &result),
+        campaign_id: campaign_id(profile, &names),
         remote_tasks: ctx.remote_dispatched(),
         stats: fleet.stats(),
     })
+}
+
+/// Assemble the canonical campaign document from a pipeline result.
+/// The single serialization point for campaign bodies, so a
+/// fleet-gathered campaign is byte-identical to a single-node run by
+/// construction. The document holds only deterministic simulation
+/// results — never run counters, which differ across resumes and
+/// topologies.
+fn campaign_document(workloads: &[String], result: &xps_core::PipelineResult) -> String {
+    crate::json(&Value::Obj(vec![
+        ("workloads".to_string(), str_array(workloads)),
+        (
+            "cores".to_string(),
+            Value::Arr(result.cores.iter().map(|c| c.to_value()).collect()),
+        ),
+        ("matrix".to_string(), result.matrix.to_value()),
+    ]))
+}
+
+/// The store fingerprint of a campaign's canonical description
+/// (profile name, sorted workload set).
+fn campaign_id(profile: &str, names: &[String]) -> String {
+    content_id(&crate::json(&Value::Obj(vec![
+        ("profile".to_string(), Value::Str(profile.to_string())),
+        ("workloads".to_string(), str_array(names)),
+    ])))
+}
+
+fn str_array(names: &[String]) -> Value {
+    Value::Arr(names.iter().cloned().map(Value::Str).collect())
 }
 
 #[cfg(test)]
@@ -481,6 +520,18 @@ mod tests {
     use crate::transport::FlakyTransport;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Mutex;
+
+    #[test]
+    fn campaign_ids_are_pinned() {
+        // `repro fleet` prints these ids; their bytes must not drift.
+        let names = vec!["gzip".to_string(), "mcf".to_string()];
+        assert_eq!(
+            campaign_id("smoke", &names),
+            content_id(r#"{"profile":"smoke","workloads":["gzip","mcf"]}"#)
+        );
+        assert_eq!(campaign_id("smoke", &names), "2342890b02e7a292");
+        assert_eq!(campaign_id("quick", &names), "4e5edcfb2f95fa84");
+    }
 
     #[test]
     fn envelope_round_trips_and_detects_tampering() {

@@ -3,10 +3,9 @@
 //! The daemon depends on nothing outside `std`, so this module
 //! hand-rolls exactly the slice of HTTP the service needs: one request
 //! per connection (`Connection: close`), `Content-Length` bodies with
-//! hard limits, fixed responses, and chunked transfer encoding for the
-//! NDJSON progress stream. Parsing and rendering work on generic
-//! `BufRead`/`Write` so every path is unit-testable on in-memory
-//! buffers.
+//! hard limits, and fixed responses. Parsing and rendering work on
+//! generic `BufRead`/`Write` so every path is unit-testable on
+//! in-memory buffers.
 
 use crate::error::ServeError;
 use std::io::{BufRead, Read, Write};
@@ -159,14 +158,11 @@ fn read_line_limited(r: &mut impl BufRead, limit: usize, what: &str) -> Result<S
 pub fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        202 => "Accepted",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
-        429 => "Too Many Requests",
         500 => "Internal Server Error",
-        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
@@ -206,85 +202,6 @@ pub fn write_error(w: &mut impl Write, e: &ServeError) -> std::io::Result<()> {
     write_response(w, e.status(), "application/json", body.as_bytes())
 }
 
-/// A chunked-transfer-encoding response in progress: `start` writes
-/// the header block, each [`chunk`](ChunkedWriter::chunk) one framed
-/// chunk, and [`finish`](ChunkedWriter::finish) the terminating
-/// zero-length chunk.
-#[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
-    w: W,
-}
-
-impl<W: Write> ChunkedWriter<W> {
-    /// Write the response head and switch the body to chunked framing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn start(mut w: W, status: u16, content_type: &str) -> std::io::Result<ChunkedWriter<W>> {
-        write!(
-            w,
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-            status_reason(status)
-        )?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
-    }
-
-    /// Write one chunk (empty input writes nothing — an empty chunk
-    /// would terminate the stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
-    }
-
-    /// Terminate the stream with the zero-length chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
-        self.w.flush()
-    }
-}
-
-/// Decode a complete chunked-encoded body (the client side of
-/// [`ChunkedWriter`]).
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] on malformed framing.
-pub fn read_chunked(r: &mut impl BufRead) -> Result<Vec<u8>, ServeError> {
-    let mut out = Vec::new();
-    loop {
-        let size_line = read_line_limited(r, 32, "chunk size")?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| ServeError::BadRequest(format!("bad chunk size `{size_line}`")))?;
-        if size == 0 {
-            let _ = read_line_limited(r, 8, "chunk terminator");
-            return Ok(out);
-        }
-        let start = out.len();
-        out.resize(start + size, 0);
-        r.read_exact(&mut out[start..])
-            .map_err(|_| ServeError::BadRequest("chunk truncated".into()))?;
-        let crlf = read_line_limited(r, 8, "chunk delimiter")?;
-        if !crlf.is_empty() {
-            return Err(ServeError::BadRequest("missing chunk delimiter".into()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +222,7 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let r = parse(b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").expect("parses");
+        let r = parse(b"POST /tasks HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").expect("parses");
         assert_eq!(r.method, "POST");
         assert_eq!(r.body_str().expect("utf8"), "{\"a\"");
     }
@@ -319,14 +236,14 @@ mod tests {
 
     #[test]
     fn rejects_truncated_request_line() {
-        let e = parse(b"GET /jobs HT").expect_err("truncated");
+        let e = parse(b"GET /tasks HT").expect_err("truncated");
         assert_eq!(e.status(), 400);
         assert!(e.to_string().contains("truncated request"));
     }
 
     #[test]
     fn rejects_oversized_body_with_413() {
-        let mut c = Cursor::new(&b"POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n"[..]);
+        let mut c = Cursor::new(&b"POST /tasks HTTP/1.1\r\nContent-Length: 50\r\n\r\n"[..]);
         let e = Request::parse_with_limit(&mut c, 10).expect_err("too large");
         assert!(matches!(e, ServeError::TooLarge { got: 50, limit: 10 }));
         assert_eq!(e.status(), 413);
@@ -334,7 +251,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_body() {
-        let e = parse(b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nab").expect_err("short");
+        let e = parse(b"POST /tasks HTTP/1.1\r\nContent-Length: 10\r\n\r\nab").expect_err("short");
         assert!(e.to_string().contains("truncated"));
     }
 
@@ -354,33 +271,5 @@ mod tests {
             text,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
         );
-    }
-
-    #[test]
-    fn chunked_framing_round_trips() {
-        let mut out = Vec::new();
-        {
-            let mut cw =
-                ChunkedWriter::start(&mut out, 200, "application/x-ndjson").expect("starts");
-            cw.chunk(b"{\"a\":1}\n").expect("chunk");
-            cw.chunk(b"").expect("empty chunk is a no-op");
-            cw.chunk(b"{\"b\":2}\n").expect("chunk");
-            cw.finish().expect("finishes");
-        }
-        let text = String::from_utf8(out.clone()).expect("utf8");
-        let body_at = text.find("\r\n\r\n").expect("header end") + 4;
-        assert!(text[..body_at].contains("Transfer-Encoding: chunked"));
-        assert_eq!(
-            &text[body_at..],
-            "8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n0\r\n\r\n"
-        );
-        let decoded = read_chunked(&mut Cursor::new(&text.as_bytes()[body_at..])).expect("decodes");
-        assert_eq!(decoded, b"{\"a\":1}\n{\"b\":2}\n");
-    }
-
-    #[test]
-    fn chunk_decoder_rejects_bad_framing() {
-        assert!(read_chunked(&mut Cursor::new(&b"zz\r\n"[..])).is_err());
-        assert!(read_chunked(&mut Cursor::new(&b"5\r\nab"[..])).is_err());
     }
 }

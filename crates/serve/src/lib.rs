@@ -1,43 +1,30 @@
-//! `xps-serve`: exploration-as-a-service over the `xp-scalar`
-//! pipeline.
+//! `xps-serve`: a fleet worker for the `xp-scalar` pipeline.
 //!
-//! The batch `repro` binary answers one question per invocation and
-//! re-simulates from scratch every time. This crate turns the same
-//! deterministic engine into a long-lived daemon: clients POST JSON
-//! job requests (explore a workload set, evaluate one workload on
-//! another's customized architecture, best k-core combination,
-//! slowdown rows) over a hand-rolled, dependency-free HTTP/1.1 layer;
-//! jobs flow through a bounded FIFO [`JobQueue`] with backpressure
-//! (overflow → 429) into scheduler workers that drive the existing
-//! parallel worker pool and shared [`EvalCache`](xps_core::explore::EvalCache);
-//! finished bodies land in a content-addressed, checksummed
-//! [`ResultStore`], so a repeated request — today, from another
-//! client, after a restart — is answered byte-identically without one
-//! new simulation.
-//!
-//! Clients poll `GET /jobs/<id>` or stream live NDJSON progress
-//! (anneal step, temperature, best IPT, cache hit rate) from
-//! `GET /jobs/<id>/events` over chunked transfer; `GET /metrics`
-//! exposes queue depth, job counters, cache hit/miss rates, and
-//! per-endpoint latency histograms. Shutdown (SIGTERM / ctrl-c) is a
-//! graceful drain: the in-flight job checkpoints to its journal, goes
-//! back on the persistent queue, and a restarted daemon resumes it —
-//! completing byte-identically — from where it stopped.
+//! A campaign's expensive units of work — annealing walks, lock-step
+//! evaluation groups, budgeted searches — are pure functions of small
+//! wire-format [`TaskSpec`](xps_core::explore::TaskSpec)s. The daemon
+//! executes them: a coordinator (`repro fleet`, `scale`, `bakeoff`)
+//! POSTs each spec to `/tasks`, the worker runs it against its shared
+//! evaluation cache over a hand-rolled, dependency-free HTTP/1.1 layer,
+//! and the result lands in a content-addressed, checksummed
+//! [`ResultStore`], so a repeated task — a retried dispatch, a second
+//! campaign, a restarted worker — is answered byte-identically without
+//! one new simulation. `GET /healthz` answers heartbeats, `GET
+//! /metrics` exposes task and cache counters and per-endpoint latency
+//! histograms, and SIGTERM / ctrl-c drains: the daemon stops accepting
+//! and answers every request already accepted.
 //!
 //! Module map:
 //!
-//! * [`http`] — minimal HTTP/1.1 request parsing, fixed and chunked
-//!   response framing, over generic `BufRead`/`Write`.
+//! * [`http`] — minimal HTTP/1.1 request parsing and fixed response
+//!   framing, over generic `BufRead`/`Write`.
 //! * [`store`] — the content-addressed result store (FNV fingerprints,
 //!   atomic checksummed records).
-//! * [`queue`] — the bounded, persistent, coalescing job queue.
-//! * [`engine`] — request canonicalization and job execution over the
-//!   pipeline.
-//! * [`progress`] — per-job live feeds behind the streaming endpoint.
 //! * [`metrics`] — daemon-wide counters and latency histograms.
-//! * [`server`] — the TCP daemon tying all of it together.
-//! * [`client`] — a tiny blocking HTTP client (examples, tests, smoke
-//!   runs).
+//! * [`server`] — the TCP worker: accept loop, `/tasks` execution,
+//!   graceful drain.
+//! * [`client`] — a tiny blocking HTTP client (the transport and the
+//!   tests).
 //! * [`transport`] — the fleet wire layer: deadline-bounded TCP plus
 //!   a deterministic fault-injecting wrapper.
 //! * [`netfault`] — seeded network fault plans (`XPS_NET_FAULTS`).
@@ -46,29 +33,23 @@
 //!   degradation to local execution.
 
 pub mod client;
-mod engine;
 mod error;
 mod fleet;
 pub mod http;
 mod metrics;
 mod netfault;
-mod progress;
-mod queue;
 mod server;
 mod store;
 mod transport;
 
-pub use engine::{is_cancelled, Engine, JobRequest, Profile, Question};
 pub use error::ServeError;
 pub use fleet::{
     run_campaign_with_fleet, Fleet, FleetConfig, FleetReport, FleetStats, WorkerSnapshot,
 };
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_US};
 pub use netfault::{NetFault, NetFaultPlan};
-pub use progress::{FeedRead, ProgressHub, MAX_FEED_LINES};
-pub use queue::{Job, JobQueue, JobStatus, SubmitOutcome};
 pub use server::{install_signal_handlers, Server, ServerConfig, ShutdownHandle};
-pub use store::{body_checksum, content_id, GcReport, ResultStore};
+pub use store::{body_checksum, content_id, ResultStore};
 pub use transport::{FlakyTransport, TcpTransport, Transport};
 
 /// Render a JSON value the daemon built itself. Infallible by

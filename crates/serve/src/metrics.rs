@@ -1,17 +1,16 @@
 //! Daemon-wide observability counters.
 //!
-//! Everything `/metrics` reports lives here: job lifecycle counters,
-//! store and coalescing hits, accumulated engine counters (evaluation
-//! cache, journal replays), and a fixed-bucket latency histogram per
-//! endpoint. All counters are relaxed atomics — recording a sample
-//! never contends with request handling.
+//! Everything `/metrics` reports lives here: the fleet task counters
+//! (executed, answered from the store) and a fixed-bucket latency
+//! histogram per endpoint. All counters are relaxed atomics —
+//! recording a sample never contends with request handling. The
+//! evaluation-cache and store figures live elsewhere and are sampled
+//! by the caller at render time.
 
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-use xps_core::explore::EngineStats;
-use xps_core::trace::Profile;
+use xps_core::explore::CacheCounters;
 
 /// Histogram bucket upper bounds, microseconds (the last bucket is
 /// unbounded).
@@ -20,12 +19,6 @@ pub const LATENCY_BUCKETS_US: [u64; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// The endpoints measured separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// `POST /jobs`
-    Submit,
-    /// `GET /jobs/<id>`
-    Job,
-    /// `GET /jobs/<id>/events`
-    Events,
     /// `GET /metrics`
     Metrics,
     /// `POST /tasks` and `GET /tasks/<id>` (fleet worker execution).
@@ -35,20 +28,10 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    const ALL: [Endpoint; 6] = [
-        Endpoint::Submit,
-        Endpoint::Job,
-        Endpoint::Events,
-        Endpoint::Metrics,
-        Endpoint::Task,
-        Endpoint::Other,
-    ];
+    const ALL: [Endpoint; 3] = [Endpoint::Metrics, Endpoint::Task, Endpoint::Other];
 
     fn label(&self) -> &'static str {
         match self {
-            Endpoint::Submit => "submit",
-            Endpoint::Job => "job",
-            Endpoint::Events => "events",
             Endpoint::Metrics => "metrics",
             Endpoint::Task => "task",
             Endpoint::Other => "other",
@@ -108,62 +91,15 @@ impl Histogram {
 /// All counters the daemon exposes.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_coalesced: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_requeued: AtomicU64,
-    store_hits: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    tasks_executed: AtomicU64,
-    tasks_salvaged: AtomicU64,
-    journal_replayed: AtomicU64,
     fleet_tasks_executed: AtomicU64,
     fleet_task_store_hits: AtomicU64,
-    gc_evicted: AtomicU64,
-    gc_reclaimed_bytes: AtomicU64,
-    latency: [Histogram; 6],
-    /// Accumulated span profiles of every campaign this process ran
-    /// (merged per phase name). The lock is touched once per finished
-    /// campaign and per `/metrics` render — never on a hot path.
-    spans: Mutex<Profile>,
+    latency: [Histogram; 3],
 }
 
 impl Metrics {
     /// Fresh, all-zero counters.
     pub fn new() -> Metrics {
         Metrics::default()
-    }
-
-    /// Record an accepted new submission.
-    pub fn submitted(&self) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a submission that coalesced onto an existing job.
-    pub fn coalesced(&self) {
-        self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a job finishing successfully.
-    pub fn completed(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a job failing terminally.
-    pub fn failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cancelled job going back on the queue.
-    pub fn requeued(&self) {
-        self.jobs_requeued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a submission answered straight from the result store.
-    pub fn store_hit(&self) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one fleet task executed by this worker (`POST /tasks`).
@@ -177,85 +113,25 @@ impl Metrics {
         self.fleet_task_store_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fold one store-GC pass into the totals.
-    pub fn gc_pass(&self, evicted: u64, reclaimed_bytes: u64) {
-        self.gc_evicted.fetch_add(evicted, Ordering::Relaxed);
-        self.gc_reclaimed_bytes
-            .fetch_add(reclaimed_bytes, Ordering::Relaxed);
-    }
-
-    /// Number of store-answered submissions so far.
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of jobs completed so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed.load(Ordering::Relaxed)
-    }
-
-    /// Fold one finished campaign's engine counters into the totals.
-    /// `cache` counters are daemon-lifetime (the cache is shared), so
-    /// they are *stored*, not added.
-    pub fn absorb_engine(&self, stats: &EngineStats) {
-        self.cache_hits.store(stats.cache.hits, Ordering::Relaxed);
-        self.cache_misses
-            .store(stats.cache.misses, Ordering::Relaxed);
-        self.tasks_executed
-            .fetch_add(stats.recovery.executed, Ordering::Relaxed);
-        self.tasks_salvaged
-            .fetch_add(stats.recovery.salvaged, Ordering::Relaxed);
-        self.journal_replayed
-            .fetch_add(stats.journal_loaded, Ordering::Relaxed);
-    }
-
-    /// Fold one finished campaign's span profile into the process
-    /// totals.
-    pub fn absorb_profile(&self, profile: &Profile) {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(profile);
-    }
-
     /// Record one request's latency under its endpoint.
     pub fn record_latency(&self, endpoint: Endpoint, elapsed: Duration) {
         self.latency[endpoint.index()].record(elapsed);
     }
 
-    /// Render the `/metrics` document. `queue_depth` and
-    /// `store_records` are sampled by the caller (they live elsewhere).
-    pub fn render(&self, queue_depth: usize, store_records: usize) -> String {
+    /// Render the `/metrics` document. `cache` (the shared
+    /// evaluation cache's lifetime counters) and `store_records` are
+    /// sampled by the caller: they live elsewhere.
+    pub fn render(&self, cache: CacheCounters, store_records: usize) -> String {
         let load = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        let jobs = Value::Obj(vec![
-            ("submitted".to_string(), load(&self.jobs_submitted)),
-            ("coalesced".to_string(), load(&self.jobs_coalesced)),
-            ("completed".to_string(), load(&self.jobs_completed)),
-            ("failed".to_string(), load(&self.jobs_failed)),
-            ("requeued".to_string(), load(&self.jobs_requeued)),
-            ("queue_depth".to_string(), Value::U64(queue_depth as u64)),
-        ]);
         let cache = Value::Obj(vec![
-            ("hits".to_string(), Value::U64(hits)),
-            ("misses".to_string(), Value::U64(misses)),
-            ("hit_rate".to_string(), Value::F64(hit_rate)),
+            ("hits".to_string(), Value::U64(cache.hits)),
+            ("misses".to_string(), Value::U64(cache.misses)),
+            ("hit_rate".to_string(), Value::F64(cache.hit_rate())),
         ]);
-        let store = Value::Obj(vec![
-            ("hits".to_string(), load(&self.store_hits)),
-            ("records".to_string(), Value::U64(store_records as u64)),
-            ("gc_evicted".to_string(), load(&self.gc_evicted)),
-            (
-                "gc_reclaimed_bytes".to_string(),
-                load(&self.gc_reclaimed_bytes),
-            ),
-        ]);
+        let store = Value::Obj(vec![(
+            "records".to_string(),
+            Value::U64(store_records as u64),
+        )]);
         let fleet = Value::Obj(vec![
             (
                 "tasks_executed".to_string(),
@@ -266,42 +142,16 @@ impl Metrics {
                 load(&self.fleet_task_store_hits),
             ),
         ]);
-        let recovery = Value::Obj(vec![
-            ("tasks_executed".to_string(), load(&self.tasks_executed)),
-            ("tasks_salvaged".to_string(), load(&self.tasks_salvaged)),
-            ("journal_replayed".to_string(), load(&self.journal_replayed)),
-        ]);
         let latency = Value::Obj(
             Endpoint::ALL
                 .iter()
                 .map(|e| (e.label().to_string(), self.latency[e.index()].to_value()))
                 .collect(),
         );
-        let spans = Value::Obj(
-            self.spans
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .rows()
-                .map(|(name, r)| {
-                    (
-                        name.to_string(),
-                        Value::Obj(vec![
-                            ("count".to_string(), Value::U64(r.count)),
-                            ("ops".to_string(), Value::U64(r.ops)),
-                            ("ticks".to_string(), Value::U64(r.ticks)),
-                            ("wall_us".to_string(), Value::U64(r.wall_ns / 1_000)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
         crate::json(&Value::Obj(vec![
-            ("jobs".to_string(), jobs),
             ("cache".to_string(), cache),
             ("store".to_string(), store),
             ("fleet".to_string(), fleet),
-            ("recovery".to_string(), recovery),
-            ("spans".to_string(), spans),
             ("latency_us".to_string(), latency),
         ]))
     }
@@ -314,54 +164,29 @@ mod tests {
     #[test]
     fn counters_land_in_the_rendered_document() {
         let m = Metrics::new();
-        m.submitted();
-        m.submitted();
-        m.coalesced();
-        m.completed();
-        m.store_hit();
-        m.record_latency(Endpoint::Submit, Duration::from_micros(500));
-        m.record_latency(Endpoint::Submit, Duration::from_millis(50));
+        m.fleet_task_executed();
+        m.fleet_task_executed();
+        m.fleet_task_store_hit();
+        m.record_latency(Endpoint::Task, Duration::from_micros(500));
+        m.record_latency(Endpoint::Task, Duration::from_millis(50));
         m.record_latency(Endpoint::Metrics, Duration::from_secs(2));
-        let doc = serde_json::from_str::<Value>(&m.render(3, 7)).expect("valid JSON");
-        let jobs = doc.member("jobs").expect("jobs");
-        assert_eq!(jobs.member("submitted").unwrap(), &Value::U64(2));
-        assert_eq!(jobs.member("queue_depth").unwrap(), &Value::U64(3));
+        let cache = CacheCounters { hits: 3, misses: 1 };
+        let doc = serde_json::from_str::<Value>(&m.render(cache, 7)).expect("valid JSON");
+        let fleet = doc.member("fleet").expect("fleet");
+        assert_eq!(fleet.member("tasks_executed").unwrap(), &Value::U64(2));
+        assert_eq!(fleet.member("task_store_hits").unwrap(), &Value::U64(1));
+        let cache = doc.member("cache").expect("cache");
+        assert_eq!(cache.member("misses").unwrap(), &Value::U64(1));
+        assert_eq!(cache.member("hit_rate").unwrap(), &Value::F64(0.75));
         assert_eq!(
             doc.member("store").unwrap().member("records").unwrap(),
             &Value::U64(7)
         );
-        let submit = doc.member("latency_us").unwrap().member("submit").unwrap();
-        assert_eq!(submit.member("count").unwrap(), &Value::U64(2));
-        assert_eq!(submit.member("lt_1ms").unwrap(), &Value::U64(1));
-        assert_eq!(submit.member("lt_100ms").unwrap(), &Value::U64(1));
+        let task = doc.member("latency_us").unwrap().member("task").unwrap();
+        assert_eq!(task.member("count").unwrap(), &Value::U64(2));
+        assert_eq!(task.member("lt_1ms").unwrap(), &Value::U64(1));
+        assert_eq!(task.member("lt_100ms").unwrap(), &Value::U64(1));
         let metrics = doc.member("latency_us").unwrap().member("metrics").unwrap();
         assert_eq!(metrics.member("ge_1s").unwrap(), &Value::U64(1));
-    }
-
-    #[test]
-    fn engine_stats_accumulate_across_campaigns() {
-        use xps_core::explore::{CacheCounters, RecoveryStats};
-        let m = Metrics::new();
-        let mk = |hits, executed, loaded| EngineStats {
-            cache: CacheCounters { hits, misses: 1 },
-            recovery: RecoveryStats {
-                executed,
-                ..RecoveryStats::default()
-            },
-            journal_records: 0,
-            journal_loaded: loaded,
-        };
-        m.absorb_engine(&mk(5, 10, 0));
-        m.absorb_engine(&mk(9, 4, 6));
-        let doc = serde_json::from_str::<Value>(&m.render(0, 0)).expect("valid");
-        // Cache counters are lifetime snapshots (latest wins)…
-        assert_eq!(
-            doc.member("cache").unwrap().member("hits").unwrap(),
-            &Value::U64(9)
-        );
-        // …recovery counters are per-campaign and accumulate.
-        let rec = doc.member("recovery").unwrap();
-        assert_eq!(rec.member("tasks_executed").unwrap(), &Value::U64(14));
-        assert_eq!(rec.member("journal_replayed").unwrap(), &Value::U64(6));
     }
 }

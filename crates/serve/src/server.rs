@@ -1,15 +1,14 @@
-//! The daemon: TCP accept loop, request router, scheduler workers,
-//! and graceful drain-and-checkpoint shutdown.
+//! The daemon: TCP accept loop, request router, and graceful drain.
 //!
-//! One connection carries one request (`Connection: close`). Handler
-//! threads do only cheap work — parse, enqueue, look up, render — so
-//! backpressure lives entirely in the bounded [`JobQueue`]; the
-//! expensive simulation happens on dedicated scheduler workers that
-//! drain the queue through the [`Engine`]. Shutdown flips one shared
-//! flag: the accept loop stops taking connections, the in-flight job
-//! checkpoints to its journal and goes back on the persistent queue,
-//! and `run` returns once the workers have drained — so a restarted
-//! daemon picks the job back up and finishes it byte-identically.
+//! The daemon is a fleet worker. Its one unit of work is `POST /tasks`:
+//! execute one wire-format task spec on the handler thread and answer
+//! with the result, content-addressed in the [`ResultStore`] so a
+//! repeated or retried dispatch re-reads the stored bytes. `GET
+//! /tasks/<id>` recovers a stored result, `/healthz` answers a
+//! coordinator's heartbeat and `/metrics` reports counters. One
+//! connection carries one request (`Connection: close`). Shutdown flips
+//! one shared flag: the accept loop stops taking connections, and
+//! `run` returns once every in-flight request has been answered.
 //!
 //! The accept model is event-driven: the listener blocks in `accept`
 //! and hands each connection to its handler the moment it arrives, so
@@ -21,30 +20,19 @@
 //! starts a watcher thread that waits for the flag and performs the
 //! same wake: the only remaining wait is on the shutdown path.
 
-use crate::engine::{is_cancelled, Engine};
 use crate::error::ServeError;
-use crate::http::{write_error, write_response, ChunkedWriter, Request};
+use crate::http::{write_error, write_response, Request};
 use crate::metrics::{Endpoint, Metrics};
-use crate::progress::ProgressHub;
-use crate::queue::{JobQueue, JobStatus, SubmitOutcome};
 use crate::store::{content_id, ResultStore};
 use serde::Value;
-use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Most terminal (done/failed) jobs whose queue entry and progress
-/// feed are retained after finishing. Past this window the oldest is
-/// retired: its feed is forgotten and its job-table entry evicted, so
-/// a long-running daemon's memory stays bounded. Done results remain
-/// answerable from the store; streams attached to a retired feed see
-/// a terminal line (see [`stream_events`]).
-const RETAINED_TERMINAL_JOBS: usize = 64;
+use xps_core::explore::{EvalCache, TaskSpec};
 
 /// Bound on the wake connection [`ShutdownHandle::shutdown`] makes to
 /// its own listener. A loopback connect completes in microseconds; the
@@ -57,34 +45,22 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7780` (`:0` for an ephemeral
     /// port).
     pub addr: String,
-    /// Root of the daemon's persistent state: the result store, the
-    /// queue journal, and per-campaign checkpoint journals.
+    /// Root of the daemon's persistent state: the result store.
     pub data_dir: PathBuf,
-    /// Most jobs waiting in the queue before submissions get 429.
-    pub queue_capacity: usize,
-    /// Scheduler worker threads draining the queue.
-    pub workers: usize,
-    /// Worker threads per pipeline run (0 = available parallelism).
+    /// No effect. Each `/tasks` request runs on its own handler
+    /// thread, so there is no per-request pool to size. The field
+    /// remains only because the benchmark harness (`xps-perf`) still
+    /// sets it; it goes when that harness stops.
     pub pipeline_jobs: usize,
-    /// Result-store quota in bytes (`None` = unbounded). When set, a
-    /// GC pass runs after every store-growing completion, evicting the
-    /// oldest unpinned records until the store fits; records referenced
-    /// by in-flight jobs are pinned and never evicted.
-    pub store_quota_bytes: Option<u64>,
 }
 
 impl ServerConfig {
-    /// Defaults rooted at `data_dir`: loopback on an ephemeral port,
-    /// a queue of 64, one scheduler worker, all cores per pipeline
-    /// run.
+    /// Defaults rooted at `data_dir`: loopback on an ephemeral port.
     pub fn new(data_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             data_dir: data_dir.into(),
-            queue_capacity: 64,
-            workers: 1,
             pipeline_jobs: 0,
-            store_quota_bytes: None,
         }
     }
 }
@@ -100,8 +76,8 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Begin graceful shutdown: stop accepting work, checkpoint and
-    /// requeue the in-flight job, return from [`Server::run`].
+    /// Begin graceful shutdown: stop accepting connections, answer the
+    /// in-flight requests, return from [`Server::run`].
     pub fn shutdown(&self) {
         // SeqCst, paired with the accept loop's SeqCst load: the wake
         // connect below is made after this store, so the `accept` it
@@ -136,81 +112,14 @@ impl ShutdownHandle {
     }
 }
 
-/// Everything the handler and scheduler threads share.
+/// Everything the handler threads share.
 struct Shared {
-    queue: JobQueue,
-    store: Arc<ResultStore>,
-    engine: Engine,
-    hub: Arc<ProgressHub>,
+    store: ResultStore,
+    /// Shared by every task this worker executes: a repeated
+    /// evaluation in any task is a cache hit.
+    cache: EvalCache,
     metrics: Metrics,
     cancel: Arc<AtomicBool>,
-    /// Store quota (bytes); `None` disables GC.
-    store_quota_bytes: Option<u64>,
-    /// Terminal jobs in finish order, newest last; the retention
-    /// window behind [`RETAINED_TERMINAL_JOBS`].
-    retired: Mutex<VecDeque<String>>,
-}
-
-impl Shared {
-    /// Record that `id` finished and retire the oldest terminal jobs
-    /// past the retention window: forget their feeds, evict their
-    /// queue entries.
-    fn retire(&self, id: &str) {
-        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
-        // A retried-after-failure job can finish twice under one id.
-        retired.retain(|j| j != id);
-        retired.push_back(id.to_string());
-        while retired.len() > RETAINED_TERMINAL_JOBS {
-            let Some(old) = retired.pop_front() else {
-                break;
-            };
-            // A failed job resubmitted since it entered the window is
-            // live again — skip it (it re-enters when it re-finishes)
-            // rather than forgetting its in-use feed.
-            let live = self
-                .queue
-                .get(&old)
-                .is_some_and(|j| matches!(j.status, JobStatus::Queued | JobStatus::Running));
-            if live {
-                continue;
-            }
-            self.hub.forget(&old);
-            self.queue.evict_terminal(&old);
-        }
-    }
-
-    /// Store ids an in-flight campaign still references: every
-    /// unfinished job's own result id plus its campaign document's id.
-    /// GC must never evict these — a coordinator or client is about to
-    /// read them.
-    fn pinned_ids(&self) -> BTreeSet<String> {
-        let mut pinned = BTreeSet::new();
-        for id in self.queue.unfinished() {
-            if let Some(job) = self.queue.get(&id) {
-                if let Ok(req) = crate::engine::JobRequest::parse(&job.canonical) {
-                    pinned.insert(content_id(&req.campaign_canonical()));
-                }
-            }
-            pinned.insert(id);
-        }
-        pinned
-    }
-
-    /// Run one GC pass when a quota is configured. Failure is logged,
-    /// never fatal: a store over quota serves correctly, just larger.
-    fn maybe_gc(&self) {
-        let Some(quota) = self.store_quota_bytes else {
-            return;
-        };
-        match self.store.gc(quota, &self.pinned_ids()) {
-            Ok(report) if !report.evicted.is_empty() => {
-                self.metrics
-                    .gc_pass(report.evicted.len() as u64, report.reclaimed);
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("xps-serve: store gc failed: {e}"),
-        }
-    }
 }
 
 /// The bound daemon, ready to [`run`](Server::run).
@@ -220,52 +129,31 @@ pub struct Server {
     /// handles connect to.
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: usize,
 }
 
 impl Server {
-    /// Bind the listener and open (or resume) the persistent state
-    /// under the configured data directory: unfinished jobs a previous
-    /// process left in `queue.json` are re-queued and will be the
-    /// first thing the scheduler resumes.
+    /// Bind the listener and open (or reopen) the result store under
+    /// the configured data directory: results a previous process
+    /// stored are answered again without re-running.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] when the address cannot be bound or the data
-    /// directory is unusable; [`ServeError::StoreCorrupt`] when the
-    /// persisted queue does not parse.
+    /// directory is unusable.
     pub fn bind(config: &ServerConfig) -> Result<Server, ServeError> {
         std::fs::create_dir_all(&config.data_dir)?;
-        let store = Arc::new(ResultStore::open(&config.data_dir.join("store"))?);
-        let queue = JobQueue::open(
-            config.queue_capacity.max(1),
-            &config.data_dir.join("queue.json"),
-        )?;
-        let hub = Arc::new(ProgressHub::new());
-        let cancel = Arc::new(AtomicBool::new(false));
-        let engine = Engine::new(
-            config.data_dir.clone(),
-            store.clone(),
-            hub.clone(),
-            cancel.clone(),
-            config.pipeline_jobs,
-        );
+        let store = ResultStore::open(&config.data_dir.join("store"))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
             listener,
             addr,
             shared: Arc::new(Shared {
-                queue,
                 store,
-                engine,
-                hub,
+                cache: EvalCache::new(),
                 metrics: Metrics::new(),
-                cancel,
-                store_quota_bytes: config.store_quota_bytes,
-                retired: Mutex::new(VecDeque::new()),
+                cancel: Arc::new(AtomicBool::new(false)),
             }),
-            workers: config.workers.max(1),
         })
     }
 
@@ -287,9 +175,9 @@ impl Server {
         }
     }
 
-    /// Serve until shutdown is requested, then drain: close the
-    /// queue, join the scheduler workers (the in-flight job requeues
-    /// itself via cancellation), and join the connection handlers.
+    /// Serve until shutdown is requested, then drain: stop accepting
+    /// and join the connection handlers, so every request already
+    /// accepted is answered.
     ///
     /// # Errors
     ///
@@ -298,16 +186,6 @@ impl Server {
     /// accepted, an interrupted call, file-descriptor exhaustion — are
     /// logged and serving continues.
     pub fn run(self) -> Result<(), ServeError> {
-        let mut schedulers = Vec::with_capacity(self.workers);
-        for i in 0..self.workers {
-            let shared = self.shared.clone();
-            schedulers.push(
-                std::thread::Builder::new()
-                    .name(format!("xps-sched-{i}"))
-                    .spawn(move || scheduler_loop(&shared))
-                    .map_err(ServeError::from)?,
-            );
-        }
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.cancel.load(Ordering::SeqCst) {
             let stream = match self.listener.accept() {
@@ -341,12 +219,6 @@ impl Server {
                 Err(e) => eprintln!("xps-serve: connection handler spawn failed: {e}"),
             }
             handlers.retain(|h| !h.is_finished());
-        }
-        // Drain: no new submissions, wake blocked workers, let the
-        // in-flight job hit its cancellation checkpoint and requeue.
-        self.shared.queue.close();
-        for h in schedulers {
-            let _ = h.join();
         }
         for h in handlers {
             let _ = h.join();
@@ -387,74 +259,6 @@ fn join_oldest_handler(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
     }
 }
 
-/// One scheduler worker: drain jobs until the queue closes or
-/// shutdown is requested. Job execution is panic-isolated — a panic
-/// anywhere under `run_job` fails that job, never the worker.
-fn scheduler_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.next_job(&shared.cancel) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shared.engine.run_job(&job.id, &job.canonical)
-        }))
-        .unwrap_or_else(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string());
-            Err(ServeError::BadRequest(format!("job panicked: {msg}")))
-        });
-        match outcome {
-            Ok((_, stats, profile)) => {
-                shared.metrics.absorb_engine(&stats);
-                if let Some(profile) = &profile {
-                    shared.metrics.absorb_profile(profile);
-                }
-                shared.queue.complete(&job.id);
-                shared.metrics.completed();
-                // The job just grew the store (campaign + answer
-                // documents); shrink it back under quota now that the
-                // job no longer pins anything.
-                shared.maybe_gc();
-                shared.hub.close(
-                    &job.id,
-                    crate::json(&Value::Obj(vec![
-                        ("event".to_string(), Value::Str("done".to_string())),
-                        ("status".to_string(), Value::Str("done".to_string())),
-                    ])),
-                );
-                shared.retire(&job.id);
-            }
-            Err(e) if is_cancelled(&e) => {
-                // Graceful drain: completed tasks are journaled; the
-                // job goes back to the front of the persistent queue
-                // and resumes after restart.
-                shared.queue.requeue(&job.id);
-                shared.metrics.requeued();
-                shared.hub.publish(
-                    &job.id,
-                    crate::json(&Value::Obj(vec![(
-                        "event".to_string(),
-                        Value::Str("requeued".to_string()),
-                    )])),
-                );
-            }
-            Err(e) => {
-                shared.queue.fail(&job.id, e.to_string());
-                shared.metrics.failed();
-                shared.hub.close(
-                    &job.id,
-                    crate::json(&Value::Obj(vec![
-                        ("event".to_string(), Value::Str("done".to_string())),
-                        ("status".to_string(), Value::Str("failed".to_string())),
-                        ("error".to_string(), Value::Str(e.to_string())),
-                    ])),
-                );
-                shared.retire(&job.id);
-            }
-        }
-    }
-}
-
 /// Serve one connection: parse one request, route it, record its
 /// latency. All errors render as `{"error": ...}` with their status.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
@@ -487,12 +291,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 }
 
 fn classify(req: &Request) -> Endpoint {
-    let path = req.path.as_str();
-    match (req.method.as_str(), path) {
-        ("POST", "/jobs") => Endpoint::Submit,
+    match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/metrics") => Endpoint::Metrics,
-        ("GET", p) if p.starts_with("/jobs/") && p.ends_with("/events") => Endpoint::Events,
-        ("GET", p) if p.starts_with("/jobs/") => Endpoint::Job,
         ("POST", "/tasks") => Endpoint::Task,
         ("GET", p) if p.starts_with("/tasks/") => Endpoint::Task,
         _ => Endpoint::Other,
@@ -501,22 +301,17 @@ fn classify(req: &Request) -> Endpoint {
 
 fn route(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/jobs") => submit(shared, req, w),
         ("GET", "/metrics") => {
             let body = shared
                 .metrics
-                .render(shared.queue.depth(), shared.store.len()?);
+                .render(shared.cache.counters(), shared.store.len()?);
             Ok(write_response(w, 200, "application/json", body.as_bytes())?)
         }
         ("GET", "/healthz") => {
             // Rich enough for a fleet coordinator's heartbeat to see a
-            // worker's load, cheap enough to serve every probe.
+            // worker's state, cheap enough to serve every probe.
             let body = crate::json(&Value::Obj(vec![
                 ("ok".to_string(), Value::Bool(true)),
-                (
-                    "queue_depth".to_string(),
-                    Value::U64(shared.queue.depth() as u64),
-                ),
                 (
                     "store_records".to_string(),
                     Value::U64(shared.store.len()? as u64),
@@ -529,23 +324,8 @@ fn route(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), Serve
         ("GET", path) if matches!(path.strip_prefix("/tasks/"), Some(r) if !r.is_empty()) => {
             let id = path.strip_prefix("/tasks/").unwrap_or_default();
             match shared.store.get(id)? {
-                Some(body) => {
-                    let envelope = crate::fleet::task_envelope(&body);
-                    Ok(write_response(
-                        w,
-                        200,
-                        "application/json",
-                        envelope.as_bytes(),
-                    )?)
-                }
+                Some(body) => write_envelope(w, &body),
                 None => Err(ServeError::NotFound(format!("no task result `{id}`"))),
-            }
-        }
-        ("GET", path) if matches!(path.strip_prefix("/jobs/"), Some(r) if !r.is_empty()) => {
-            let rest = path.strip_prefix("/jobs/").unwrap_or_default();
-            match rest.strip_suffix("/events") {
-                Some(id) if !id.is_empty() => stream_events(shared, id, w),
-                _ => job_status(shared, rest, w),
             }
         }
         ("GET" | "POST", path) => Err(ServeError::NotFound(format!("no such path `{path}`"))),
@@ -556,6 +336,18 @@ fn route(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), Serve
     }
 }
 
+/// Answer 200 with a task result wrapped in the checksummed fleet
+/// envelope.
+fn write_envelope(w: &mut impl Write, body: &str) -> Result<(), ServeError> {
+    let envelope = crate::fleet::task_envelope(body);
+    Ok(write_response(
+        w,
+        200,
+        "application/json",
+        envelope.as_bytes(),
+    )?)
+}
+
 /// `POST /tasks`: execute one wire-format [`TaskSpec`] synchronously
 /// and reply with its serialized result wrapped in the checksummed
 /// fleet envelope — the fleet scatter path. Results are
@@ -563,29 +355,20 @@ fn route(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), Serve
 /// fingerprint, so a duplicated or retried dispatch (lost response,
 /// flaky transport) re-reads the stored bytes instead of
 /// re-simulating, and `GET /tasks/<id>` can recover a result whose
-/// response was lost entirely. Execution shares the daemon's
-/// evaluation cache with the job pipeline.
-///
-/// [`TaskSpec`]: xps_core::explore::TaskSpec
+/// response was lost entirely. Every task shares the worker's
+/// evaluation cache.
 fn run_task(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), ServeError> {
-    let spec: xps_core::explore::TaskSpec = serde_json::from_str(req.body_str()?)
+    let spec: TaskSpec = serde_json::from_str(req.body_str()?)
         .map_err(|e| ServeError::BadRequest(format!("body is not a task spec: {e}")))?;
     let id = format!("task-{}", content_id(&spec.canonical()));
     if let Some(body) = shared.store.get(&id)? {
         shared.metrics.fleet_task_store_hit();
-        let envelope = crate::fleet::task_envelope(&body);
-        return Ok(write_response(
-            w,
-            200,
-            "application/json",
-            envelope.as_bytes(),
-        )?);
+        return write_envelope(w, &body);
     }
     // Task specs are plain data; a panicking execution (a bug or an
     // injected fault on the worker) must fail this request, never the
     // handler thread or the daemon.
-    let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute(shared.engine.cache())));
-    let body = match outcome {
+    let body = match catch_unwind(AssertUnwindSafe(|| spec.execute(&shared.cache))) {
         Ok(Ok(body)) => body,
         Ok(Err(detail)) => {
             return Err(ServeError::BadRequest(format!(
@@ -603,137 +386,7 @@ fn run_task(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), Se
     };
     shared.store.put(&id, &body)?;
     shared.metrics.fleet_task_executed();
-    shared.maybe_gc();
-    let envelope = crate::fleet::task_envelope(&body);
-    Ok(write_response(
-        w,
-        200,
-        "application/json",
-        envelope.as_bytes(),
-    )?)
-}
-
-/// `POST /jobs`: canonicalize, answer from the store when the result
-/// already exists, otherwise enqueue (or coalesce onto an identical
-/// pending job).
-fn submit(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), ServeError> {
-    let request = crate::engine::JobRequest::parse(req.body_str()?)?;
-    let canonical = request.canonical();
-    let id = content_id(&canonical);
-    let reply = |status: u16, state: &str, source: Option<&str>| {
-        let mut fields = vec![
-            ("job".to_string(), Value::Str(id.clone())),
-            ("status".to_string(), Value::Str(state.to_string())),
-        ];
-        if let Some(source) = source {
-            fields.push(("source".to_string(), Value::Str(source.to_string())));
-        }
-        (status, crate::json(&Value::Obj(fields)))
-    };
-    let (status, body) = if shared.store.get(&id)?.is_some() {
-        shared.metrics.store_hit();
-        reply(200, "done", Some("store"))
-    } else {
-        match shared.queue.submit(&id, &canonical)? {
-            SubmitOutcome::Created => {
-                shared.metrics.submitted();
-                reply(202, "queued", None)
-            }
-            SubmitOutcome::Coalesced(state) => {
-                shared.metrics.coalesced();
-                let code = if state == JobStatus::Done { 200 } else { 202 };
-                reply(code, state.label(), Some("coalesced"))
-            }
-        }
-    };
-    Ok(write_response(
-        w,
-        status,
-        "application/json",
-        body.as_bytes(),
-    )?)
-}
-
-/// `GET /jobs/<id>`: the stored result document for a finished job
-/// (200, byte-identical for every client), a status document while it
-/// is queued/running (202), the failure (500), or 404.
-fn job_status(shared: &Shared, id: &str, w: &mut impl Write) -> Result<(), ServeError> {
-    if let Some(body) = shared.store.get(id)? {
-        return Ok(write_response(w, 200, "application/json", body.as_bytes())?);
-    }
-    let Some(job) = shared.queue.get(id) else {
-        return Err(ServeError::NotFound(format!("no job `{id}`")));
-    };
-    match job.status {
-        JobStatus::Failed => {
-            let body = crate::json(&Value::Obj(vec![
-                ("job".to_string(), Value::Str(id.to_string())),
-                ("status".to_string(), Value::Str("failed".to_string())),
-                (
-                    "error".to_string(),
-                    Value::Str(job.error.unwrap_or_else(|| "unknown".to_string())),
-                ),
-            ]));
-            Ok(write_response(w, 500, "application/json", body.as_bytes())?)
-        }
-        state => {
-            let body = crate::json(&Value::Obj(vec![
-                ("job".to_string(), Value::Str(id.to_string())),
-                ("status".to_string(), Value::Str(state.label().to_string())),
-            ]));
-            Ok(write_response(w, 202, "application/json", body.as_bytes())?)
-        }
-    }
-}
-
-/// `GET /jobs/<id>/events`: stream the job's live NDJSON feed over
-/// chunked transfer until the job finishes (or the daemon drains).
-fn stream_events(shared: &Shared, id: &str, w: &mut impl Write) -> Result<(), ServeError> {
-    let known = shared.queue.get(id).is_some() || shared.store.get(id)?.is_some();
-    if !known {
-        return Err(ServeError::NotFound(format!("no job `{id}`")));
-    }
-    let mut cw = ChunkedWriter::start(w, 200, "application/x-ndjson")?;
-    // A job already answered from the store never opened a feed; emit
-    // its terminal line so streamers see a complete, closed stream.
-    if shared.queue.get(id).is_none() {
-        cw.chunk(b"{\"event\":\"done\",\"status\":\"done\",\"source\":\"store\"}\n")?;
-        cw.finish()?;
-        return Ok(());
-    }
-    let mut offset = 0;
-    loop {
-        let read = shared.hub.read_from(id, offset, Duration::from_millis(250));
-        for line in &read.lines {
-            cw.chunk(format!("{line}\n").as_bytes())?;
-        }
-        offset = read.next;
-        if read.closed {
-            break;
-        }
-        if read.lines.is_empty() && shared.queue.get(id).is_none() {
-            // The job was retired from the retention window while we
-            // streamed: its feed is gone, so the quiet open feed we
-            // see is a fresh empty one that will never close. Emit
-            // the terminal line ourselves instead of polling forever.
-            let status = if shared.store.get(id)?.is_some() {
-                "done"
-            } else {
-                "retired"
-            };
-            cw.chunk(
-                format!("{{\"event\":\"done\",\"status\":\"{status}\",\"source\":\"store\"}}\n")
-                    .as_bytes(),
-            )?;
-            break;
-        }
-        if shared.cancel.load(Ordering::Relaxed) && read.lines.is_empty() {
-            cw.chunk(b"{\"event\":\"draining\"}\n")?;
-            break;
-        }
-    }
-    cw.finish()?;
-    Ok(())
+    write_envelope(w, &body)
 }
 
 /// Install SIGTERM/SIGINT handlers that trigger graceful drain on
@@ -875,8 +528,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let c = ServerConfig::new("/tmp/xps-serve-test");
         assert_eq!(c.addr, "127.0.0.1:0");
-        assert_eq!(c.queue_capacity, 64);
-        assert_eq!(c.workers, 1);
         assert_eq!(c.pipeline_jobs, 0);
     }
 }

@@ -1,11 +1,11 @@
 //! The content-addressed result store.
 //!
-//! A finished job's response body is immutable: it is a pure function
-//! of the canonical request (workload specs, configuration grid,
-//! profile), so the store addresses records by the FNV-64 fingerprint
-//! of that canonical request. A repeated request — today, after a
-//! restart, from another client — is answered byte-identically from
-//! disk without re-running a single simulation.
+//! A finished task's result body is immutable: it is a pure function
+//! of the canonical task spec (workload profile, configurations,
+//! budgets), so the store addresses records by the FNV-64 fingerprint
+//! of that canonical spec. A repeated task — a retried dispatch, a
+//! second campaign, a restarted worker — is answered byte-identically
+//! from disk without re-running a single simulation.
 //!
 //! Records are one file per id under `store/` in the data directory:
 //! a header line carrying the id and a checksum of the body, then the
@@ -16,7 +16,6 @@
 //! file.
 
 use crate::error::ServeError;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use xps_core::explore::{fnv64, write_atomic};
 
@@ -136,7 +135,8 @@ impl ResultStore {
         &self.dir
     }
 
-    /// Total bytes the store occupies on disk (quota accounting).
+    /// Total bytes the store occupies on disk (reported by
+    /// `/healthz`).
     ///
     /// # Errors
     ///
@@ -148,70 +148,6 @@ impl ResultStore {
         }
         Ok(total)
     }
-
-    /// Garbage-collect down to `quota_bytes`: evict unpinned records,
-    /// oldest first (modification time, record id as the tiebreak),
-    /// until the store fits the quota or only pinned records remain.
-    /// A pinned record — one referenced by an in-flight campaign — is
-    /// never evicted, even when the pins alone exceed the quota.
-    ///
-    /// Eviction is pure cache policy: a future request for an evicted
-    /// result re-runs the deterministic engine and stores the
-    /// identical bytes back, so GC can never change an answer.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] when the directory cannot be listed or a
-    /// record cannot be removed.
-    pub fn gc(&self, quota_bytes: u64, pinned: &BTreeSet<String>) -> Result<GcReport, ServeError> {
-        let mut records: Vec<(std::time::SystemTime, String, u64)> = Vec::new();
-        let mut usage = 0u64;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let meta = entry.metadata()?;
-            let size = meta.len();
-            usage = usage.saturating_add(size);
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(id) = name.strip_suffix(".json") else {
-                continue;
-            };
-            // Modification times order eviction candidates; they are
-            // never serialized and never influence a result body, so
-            // reading the clock here cannot perturb determinism.
-            let modified = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            records.push((modified, id.to_string(), size));
-        }
-        records.sort();
-        let mut report = GcReport {
-            usage,
-            reclaimed: 0,
-            evicted: Vec::new(),
-        };
-        for (_, id, size) in records {
-            if report.usage <= quota_bytes {
-                break;
-            }
-            if pinned.contains(&id) {
-                continue;
-            }
-            std::fs::remove_file(self.path_of(&id))?;
-            report.usage = report.usage.saturating_sub(size);
-            report.reclaimed = report.reclaimed.saturating_add(size);
-            report.evicted.push(id);
-        }
-        Ok(report)
-    }
-}
-
-/// What one [`ResultStore::gc`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Store bytes remaining after the pass.
-    pub usage: u64,
-    /// Bytes reclaimed by this pass.
-    pub reclaimed: u64,
-    /// Ids evicted by this pass, in eviction order.
-    pub evicted: Vec<String>,
 }
 
 #[cfg(test)]
@@ -259,55 +195,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("checksum mismatch"), "{msg}");
         assert!(msg.contains(&format!("{id}.json")), "names the file: {msg}");
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    fn stamp(store: &ResultStore, id: &str, age_rank: u64) {
-        // Deterministic mtimes: rank 0 is oldest. Sidesteps filesystem
-        // timestamp granularity for records written back to back.
-        let f = std::fs::File::options()
-            .write(true)
-            .open(store.dir().join(format!("{id}.json")))
-            .expect("record exists");
-        f.set_modified(
-            std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(age_rank),
-        )
-        .expect("set mtime");
-    }
-
-    #[test]
-    fn gc_evicts_oldest_unpinned_until_quota() {
-        let store = ResultStore::open(&tmp("gc")).expect("open");
-        let ids: Vec<String> = (0..5).map(|i| content_id(&format!("req{i}"))).collect();
-        for (rank, id) in ids.iter().enumerate() {
-            store.put(id, &"x".repeat(100)).expect("put");
-            stamp(&store, id, rank as u64);
-        }
-        let record = store.usage().expect("usage") / 5;
-        // Quota for three records; the two oldest must go — except the
-        // oldest is pinned, so ranks 1 and 2 are evicted instead.
-        let pinned: BTreeSet<String> = [ids[0].clone()].into();
-        let report = store.gc(3 * record, &pinned).expect("gc");
-        assert_eq!(report.evicted, vec![ids[1].clone(), ids[2].clone()]);
-        assert_eq!(report.reclaimed, 2 * record);
-        assert!(report.usage <= 3 * record);
-        assert!(store.get(&ids[0]).expect("read").is_some(), "pinned kept");
-        assert!(store.get(&ids[1]).expect("read").is_none(), "evicted");
-        assert!(store.get(&ids[4]).expect("read").is_some(), "newest kept");
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn gc_never_evicts_pinned_even_at_zero_quota() {
-        let store = ResultStore::open(&tmp("gc-pinned")).expect("open");
-        let pinned_id = content_id("keep");
-        store.put(&pinned_id, "precious").expect("put");
-        store.put(&content_id("drop"), "expendable").expect("put");
-        let pinned: BTreeSet<String> = [pinned_id.clone()].into();
-        let report = store.gc(0, &pinned).expect("gc");
-        assert_eq!(report.evicted, vec![content_id("drop")]);
-        assert!(store.get(&pinned_id).expect("read").is_some());
-        assert_eq!(store.len().expect("len"), 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

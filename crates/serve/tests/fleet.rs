@@ -43,8 +43,6 @@ impl Worker {
         let mut child = Command::new(env!("CARGO_BIN_EXE_xps-serve"))
             .arg("--addr=127.0.0.1:0")
             .arg(format!("--data-dir={}", dir.display()))
-            .arg("--workers=1")
-            .arg("--jobs=1")
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -302,14 +300,15 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
     let ops = 2_000;
     // Geometries no design point has: a `sets × assoc` line count that
     // overflows, one just past the design space, zero ways, and a
-    // block size that is not a power of two; and a ROB that would
-    // allocate one ring entry per slot of a `u32::MAX` window.
+    // block size that is not a power of two; a ROB that would
+    // allocate one ring entry per slot of a `u32::MAX` window; and a
+    // trace length that would pin the worker for good.
     let hostile = |f: &dyn Fn(&mut xps_core::sim::CoreConfig)| {
         let mut c = good.clone();
         f(&mut c);
         c
     };
-    for (member, what) in [
+    let members = [
         (
             hostile(&|c| {
                 c.l2.geometry.sets = u32::MAX;
@@ -324,8 +323,18 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
             "L1 block size",
         ),
         (hostile(&|c| c.rob_size = u32::MAX), "ROB size"),
-    ] {
-        let spec = TaskSpec::eval(&profile, &[good.clone(), member], ops);
+    ];
+    let specs = members
+        .into_iter()
+        .map(|(member, what)| {
+            let spec = TaskSpec::eval(&profile, &[good.clone(), member], ops);
+            (spec, ["eval config 1 invalid", what])
+        })
+        .chain([(
+            TaskSpec::eval(&profile, std::slice::from_ref(&good), u64::MAX),
+            ["exceed the task bound", "18446744073709551615 ops"],
+        )]);
+    for (spec, needles) in specs {
         let resp = TcpTransport::default()
             .roundtrip(
                 &worker.addr,
@@ -336,9 +345,9 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
                 "hostile",
             )
             .expect("the worker answers");
-        assert_eq!(resp.status, 400, "accepted a hostile member: {}", resp.body);
+        assert_eq!(resp.status, 400, "accepted a hostile spec: {}", resp.body);
         assert!(
-            resp.body.contains("eval config 1 invalid") && resp.body.contains(what),
+            needles.iter().all(|n| resp.body.contains(n)),
             "untyped rejection: {}",
             resp.body
         );

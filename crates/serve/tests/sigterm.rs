@@ -1,33 +1,22 @@
-//! Process-level graceful-drain test: a real `xps-serve` process,
-//! killed with SIGTERM mid-job, must exit cleanly (checkpointing and
-//! re-queueing the in-flight job), and a restarted process on the same
-//! data directory must complete that job byte-identically to an
-//! uninterrupted run.
+//! Process-level graceful-drain test: a real `xps-serve` worker
+//! process, sent SIGTERM while a fleet campaign is dispatching to it,
+//! must exit 0 having answered its in-flight tasks, the coordinator's
+//! gathered document must equal the single-node oracle, and a worker
+//! restarted on the same data directory must answer the stored tasks
+//! from its store — the same bytes again.
 //!
 //! This is the one test that exercises the installed signal handler —
 //! the in-process drain tests flip the shutdown flag directly.
 
 #![cfg(unix)]
 
+use serde::Value;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xps_serve::client;
-
-/// A smoke-profile explore over every paper benchmark: long enough —
-/// hundreds of checkpointable tasks — that SIGTERM reliably lands
-/// while the job is mid-campaign, on any machine speed.
-fn big_smoke_explore() -> String {
-    let names: Vec<String> = xps_core::workload::spec::BENCHMARKS
-        .iter()
-        .map(|b| format!("\"{b}\""))
-        .collect();
-    format!(
-        "{{\"kind\":\"explore\",\"profile\":\"smoke\",\"workloads\":[{}]}}",
-        names.join(",")
-    )
-}
+use xps_serve::{client, run_campaign_with_fleet, Fleet, FleetConfig};
 
 fn data_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xps-sigterm-{tag}-{}", std::process::id()));
@@ -35,7 +24,7 @@ fn data_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A spawned daemon process, killed hard on drop so a failing test
+/// A spawned worker process, killed hard on drop so a failing test
 /// never leaks it.
 struct DaemonProc {
     child: Child,
@@ -97,67 +86,93 @@ impl Drop for DaemonProc {
     }
 }
 
+/// One of the worker's `/metrics` counters.
+fn metric(addr: &str, group: &str, name: &str) -> u64 {
+    let resp = client::request(addr, "GET", "/metrics", None).expect("metrics");
+    match resp
+        .json()
+        .expect("metrics json")
+        .member(group)
+        .and_then(|g| g.member(name).cloned())
+    {
+        Ok(Value::U64(n)) => n,
+        other => panic!("metric {group}.{name}: {other:?}"),
+    }
+}
+
+/// A fleet over `workers` with fast retries and no heartbeat, so a
+/// stopped worker is quarantined after two refused connections and
+/// the rest of the campaign degrades to local execution at once.
+fn fleet(workers: Vec<String>) -> Arc<Fleet> {
+    let mut cfg = FleetConfig::new(workers);
+    cfg.retries = 1;
+    cfg.backoff_base_ms = 1;
+    cfg.quarantine_after = 2;
+    cfg.heartbeat_interval = Duration::ZERO;
+    Arc::new(Fleet::tcp(cfg))
+}
+
+/// The smoke campaign over every paper benchmark: long enough —
+/// hundreds of tasks — that SIGTERM reliably lands mid-campaign, on
+/// any machine speed.
+fn workloads() -> Vec<String> {
+    xps_core::workload::spec::BENCHMARKS
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect()
+}
+
 #[test]
-fn sigterm_drains_and_restart_completes_byte_identically() {
-    let job_json = big_smoke_explore();
+fn sigterm_drains_and_a_restarted_worker_answers_from_its_store() {
+    let oracle = run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet(Vec::new()))
+        .expect("single-node campaign")
+        .document;
 
-    // Reference: the same job run to completion without interruption.
-    let ref_dir = data_dir("ref");
-    let reference = DaemonProc::spawn(&ref_dir);
-    let (ref_job, _) = client::submit(&reference.addr, &job_json).expect("submit reference");
-    let ref_body = client::wait_for_result(&reference.addr, &ref_job, Duration::from_secs(300))
-        .expect("reference completes");
-    reference.sigterm();
-    let (clean, out) = reference.wait();
-    assert!(clean, "idle daemon exits cleanly on SIGTERM");
-    assert!(out.contains("drained cleanly"), "stdout: {out}");
-    let _ = std::fs::remove_dir_all(&ref_dir);
-
-    // Interrupted run: SIGTERM lands while the job is mid-campaign.
-    // The signal that it is mid-campaign (and that the restart will
-    // have checkpoints to replay) is the campaign's checkpoint journal
-    // turning non-empty on disk.
+    // SIGTERM lands once the worker has executed a task: the campaign
+    // is then mid-scatter, with tasks in flight and more to come.
     let dir = data_dir("drain");
     let daemon = DaemonProc::spawn(&dir);
     let addr = daemon.addr.clone();
-    let (job, resp) = client::submit(&addr, &job_json).expect("submit");
-    assert_eq!(resp.status, 202, "{}", resp.body);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let checkpointed = std::fs::read_dir(&dir)
-            .ok()
-            .into_iter()
-            .flatten()
-            .flatten()
-            .any(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.starts_with("journal-")
-                    && name.ends_with(".jsonl")
-                    && e.metadata().is_ok_and(|m| m.len() > 0)
-            });
-        if checkpointed {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no checkpoint ever appeared");
+    let campaign = {
+        let fleet = fleet(vec![addr.clone()]);
+        std::thread::spawn(move || run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet))
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while metric(&addr, "fleet", "tasks_executed") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the worker never executed a task"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     daemon.sigterm();
     let (clean, out) = daemon.wait();
-    assert!(clean, "busy daemon drains cleanly on SIGTERM: {out}");
+    assert!(clean, "a busy worker drains cleanly on SIGTERM: {out}");
     assert!(out.contains("drained cleanly"), "stdout: {out}");
+    let report = campaign
+        .join()
+        .expect("campaign thread")
+        .expect("the campaign completes without its worker");
+    assert_eq!(report.document, oracle, "a drained worker cost bytes");
+    assert!(
+        report.stats.degraded > 0,
+        "SIGTERM landed after the campaign: {:?}",
+        report.stats
+    );
 
-    // The in-flight job survived as unfinished work on disk.
-    let queue_json = std::fs::read_to_string(dir.join("queue.json")).expect("queue journal");
-    assert!(queue_json.contains(&job), "job persisted: {queue_json}");
-
-    // A restarted process completes it, byte-identical to the
-    // uninterrupted reference.
+    // A worker restarted on the same data directory answers what the
+    // first process stored without re-running it.
     let resumed = DaemonProc::spawn(&dir);
-    let body = client::wait_for_result(&resumed.addr, &job, Duration::from_secs(300))
-        .expect("resumed job completes");
-    assert_eq!(body, ref_body, "resumed result is byte-identical");
+    let again =
+        run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet(vec![resumed.addr.clone()]))
+            .expect("campaign on the restarted worker");
+    assert_eq!(again.document, oracle, "the restarted worker cost bytes");
+    assert!(
+        metric(&resumed.addr, "fleet", "task_store_hits") > 0,
+        "the restarted worker re-ran every stored task"
+    );
     resumed.sigterm();
-    let (clean, _) = resumed.wait();
-    assert!(clean);
+    let (clean, out) = resumed.wait();
+    assert!(clean && out.contains("drained cleanly"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&dir);
 }

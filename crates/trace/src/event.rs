@@ -17,8 +17,8 @@
 //!   not advance the logical clock, so their presence or absence
 //!   cannot perturb the ticks of deterministic events around them.
 //! * **Wall-clock stamps** (`wall_ns`) exist only when a recorder was
-//!   built from a sink with an edge-injected clock (the CLI / daemon
-//!   boundary). They feed the human-facing profile and are never
+//!   built from a sink with an edge-injected clock (the CLI or
+//!   benchmark boundary). They feed the human-facing profile and are never
 //!   serialized into the trace journal.
 
 use std::fmt;

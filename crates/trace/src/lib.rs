@@ -14,24 +14,19 @@
 //! * **A self-profile** ([`Profile`]): per-phase count / ops / ticks /
 //!   wall-time table plus collapsed-stack output for flamegraph
 //!   tooling.
-//! * **Progress streaming** ([`ProgressSink`]): the daemon-facing
-//!   live event callback, relocated here so tracing and progress are
-//!   one surface.
 //!
 //! The logical-clock rule: deterministic code never reads wall time.
-//! A wall clock exists only when the process edge (CLI / daemon)
+//! A wall clock exists only when the process edge (CLI, benchmark)
 //! constructs the sink via [`TraceSink::with_wall_clock`]; its stamps
 //! decorate the profile and never reach serialized output.
 
 pub mod event;
 pub mod profile;
-pub mod progress;
 pub mod recorder;
 pub mod sink;
 
 pub use event::{AttrValue, Attrs, Event, EventKind};
 pub use profile::{build_tree, PhaseRow, Profile, SpanNode, TreeError};
-pub use progress::{ProgressEvent, ProgressSink};
 pub use recorder::{
     attr, attrs, instant, instant_volatile, recording, span, with_recorder, Span, SpanRecorder,
     WallClock,

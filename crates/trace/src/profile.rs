@@ -218,21 +218,6 @@ impl Profile {
         self.rows.iter().map(|(n, r)| (*n, *r))
     }
 
-    /// Merge another profile into this one (the daemon accumulates
-    /// per-job profiles into its process metrics this way).
-    pub fn merge(&mut self, other: &Profile) {
-        for (name, r) in &other.rows {
-            let row = self.rows.entry(name).or_default();
-            row.count += r.count;
-            row.ops += r.ops;
-            row.ticks += r.ticks;
-            row.wall_ns += r.wall_ns;
-        }
-        for (path, ops) in &other.collapsed {
-            *self.collapsed.entry(path.clone()).or_default() += ops;
-        }
-    }
-
     /// The human-facing per-phase table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -332,16 +317,5 @@ mod tests {
         );
         let table = p.render();
         assert!(table.contains("phase") && table.contains("walk"), "{table}");
-    }
-
-    #[test]
-    fn merge_sums_rows_and_stacks() {
-        let mut a = Profile::default();
-        a.absorb_track("x", &sample_events());
-        let mut b = Profile::default();
-        b.absorb_track("x", &sample_events());
-        a.merge(&b);
-        assert_eq!(a.row("move").expect("row").ops, 20);
-        assert!(a.collapsed().contains("x;walk;move 20\n"));
     }
 }

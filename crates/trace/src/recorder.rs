@@ -24,7 +24,7 @@ use crate::event::{AttrValue, Attrs, Event, EventKind};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// A nanosecond clock injected at the process edge (CLI / daemon).
+/// A nanosecond clock injected at the process edge (CLI, benchmark).
 ///
 /// Deterministic code never constructs one; see
 /// [`TraceSink::with_wall_clock`](crate::TraceSink::with_wall_clock).

@@ -38,8 +38,9 @@ impl TraceSink {
 
     /// A sink whose recorders stamp events with monotonic wall-clock
     /// nanoseconds for the self-profile. This is the *edge*
-    /// constructor: only the CLI and the daemon call it, deterministic
-    /// code receives the sink ready-made and cannot observe the clock.
+    /// constructor: only the CLI and the benchmark harness call it;
+    /// deterministic code receives the sink ready-made and cannot
+    /// observe the clock.
     pub fn with_wall_clock() -> TraceSink {
         // This is the one edge where wall time may enter a trace;
         // stamps feed only the human-facing profile and are never
