@@ -419,14 +419,21 @@ mod tests {
     }
 
     #[test]
-    fn full_budgets_fit_the_task_op_bound() {
+    fn full_budgets_fit_the_task_bounds() {
         // A fleet worker refuses an evaluation longer than
-        // `MAX_TASK_OPS`; the longest any in-repo driver sends (the full
-        // campaign, `repro bakeoff`'s default search) must dispatch.
+        // `MAX_TASK_OPS` and an anneal or search making more than
+        // `MAX_TASK_EVALS` evaluations; the most any in-repo driver
+        // asks for (the full campaign, `repro bakeoff`'s default
+        // search) must dispatch.
         let full = Pipeline::default();
+        let search = xps_explore::SearchOptions::default();
         assert!(full.matrix_ops <= xps_explore::MAX_TASK_OPS);
         assert!(full.explore.anneal.eval_ops_late <= xps_explore::MAX_TASK_OPS);
-        assert!(xps_explore::SearchOptions::default().eval_ops <= xps_explore::MAX_TASK_OPS);
+        assert!(search.eval_ops <= xps_explore::MAX_TASK_OPS);
+        let evals = xps_explore::MAX_TASK_EVALS;
+        assert!(u64::from(full.explore.anneal.iterations) <= evals);
+        assert!(u64::from(full.explore.reanneal_iterations) <= evals);
+        assert!(search.budget <= evals);
     }
 
     #[test]

@@ -305,7 +305,9 @@ pub fn anneal_with(
     let mut best_cfg = cur_cfg;
     let mut best_ipt = cur_ipt;
     let mut temp = opts.temperature;
-    let mut history = Vec::with_capacity(opts.iterations as usize);
+    // Grown by push, not sized from `iterations`: the count may come
+    // off the network.
+    let mut history = Vec::new();
     let mut rejected_unrealizable = 0;
 
     for it in 0..opts.iterations {

@@ -76,7 +76,7 @@ pub use search::{
     crossover, explorer_by_name, mutate, search, AnnealExplorer, CurvePoint, EvalBudget, Explorer,
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,
 };
-pub use task::{TaskDispatcher, TaskKind, TaskSpec, TaskSpecError, MAX_TASK_OPS};
+pub use task::{TaskDispatcher, TaskKind, TaskSpec, TaskSpecError, MAX_TASK_EVALS, MAX_TASK_OPS};
 
 /// Re-exported fixed design constants (the paper's Table 2).
 pub mod constants {

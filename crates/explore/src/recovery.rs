@@ -27,14 +27,19 @@ use crate::journal::{Journal, JournalError};
 use crate::parallel::run_parallel;
 use crate::task::{TaskDispatcher, TaskSpec};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use xps_trace::{with_recorder, TraceSink};
 
 /// Default retry budget: a task may fail twice and still succeed on
 /// its third attempt before being declared failed.
 pub const DEFAULT_RETRIES: u32 = 2;
+
+/// A dispatcher's answer to one spec, filled once by the caller that
+/// sent it: the response body, or `None` for a decline.
+type Answer = Arc<OnceLock<Option<String>>>;
 
 /// Counters of one run's crash-safety machinery. Informational — the
 /// explored results never depend on them — except `failed_tasks`,
@@ -82,6 +87,11 @@ pub struct RunContext {
     retried: AtomicU64,
     injected: AtomicU64,
     remote: AtomicU64,
+    /// The dispatcher's answer to each spec sent, by canonical spec: a
+    /// spec asked again in the run (a cross-seeding round repeating an
+    /// evaluation, a `rematrix` fan holding one cell twice) waits for
+    /// or reuses that answer instead of being sent again.
+    answered: Mutex<HashMap<String, Answer>>,
     failed: Mutex<Vec<String>>,
     journal_error: Mutex<Option<JournalError>>,
 }
@@ -108,6 +118,7 @@ impl RunContext {
             retried: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             remote: AtomicU64::new(0),
+            answered: Mutex::new(HashMap::new()),
             failed: Mutex::new(Vec::new()),
             journal_error: Mutex::new(None),
         }
@@ -171,8 +182,9 @@ impl RunContext {
         self.trace.as_ref()
     }
 
-    /// How many tasks a dispatcher ran remotely (informational; not
-    /// part of [`RecoveryStats`], whose serialized shape is stable).
+    /// How many tasks were answered remotely, counting a repeated spec
+    /// answered from an earlier response (informational; not part of
+    /// [`RecoveryStats`], whose serialized shape is stable).
     pub fn remote_dispatched(&self) -> u64 {
         self.remote.load(Ordering::Relaxed)
     }
@@ -391,7 +403,11 @@ impl RunContext {
     /// to run remotely — no dispatcher, no task description, a
     /// declined dispatch, or a response body that
     /// does not decode as the item type — yields `None`, and the item
-    /// runs locally instead.
+    /// runs locally instead. Each distinct spec is sent once per
+    /// context: a caller of a spec already sent waits for that answer
+    /// and decodes it too, since a task is a pure function of its
+    /// spec. A decline or an undecodable body is forgotten once its
+    /// waiters have seen it, so a later ask sends the spec again.
     fn dispatch_remote<T, D>(&self, key: &str, i: usize, describe: &D) -> Option<T>
     where
         T: Deserialize,
@@ -399,16 +415,34 @@ impl RunContext {
     {
         let dispatcher = self.dispatcher.as_ref()?;
         let spec = describe(i)?;
-        let body = dispatcher.dispatch(key, &spec)?;
-        match serde_json::from_str::<T>(&body) {
-            Ok(value) => {
+        let canonical = spec.canonical();
+        let memo = || self.answered.lock().unwrap_or_else(PoisonError::into_inner);
+        let answer = Arc::clone(memo().entry(canonical.clone()).or_default());
+        // Outside the memo lock: the first caller sends the spec, any
+        // concurrent caller of the same spec blocks here until it is
+        // answered.
+        let value = answer
+            .get_or_init(|| dispatcher.dispatch(key, &spec))
+            .as_deref()
+            .and_then(|body| serde_json::from_str::<T>(body).ok());
+        match value {
+            Some(value) => {
                 self.remote.fetch_add(1, Ordering::Relaxed);
                 Some(value)
             }
             // A body that parsed as JSON upstream but not as the item
             // type is treated like any other bad response: degrade to
             // local execution.
-            Err(_) => None,
+            None => {
+                let mut memo = memo();
+                if memo
+                    .get(&canonical)
+                    .is_some_and(|a| Arc::ptr_eq(a, &answer))
+                {
+                    memo.remove(&canonical);
+                }
+                None
+            }
         }
     }
 
@@ -696,6 +730,38 @@ mod tests {
             assert_eq!(ctx.remote_dispatched(), 0, "nothing counted as remote");
             assert_eq!(ctx.stats().executed, 3, "all items ran locally");
         }
+    }
+
+    #[test]
+    fn a_spec_answered_once_is_not_dispatched_again() {
+        let dispatcher = Arc::new(InProcessDispatcher::default());
+        let ctx = RunContext::new().with_dispatcher(dispatcher.clone());
+        let fan = |label: &str| {
+            ctx.run_fan_tasks(
+                2,
+                label,
+                3,
+                |i| Some(eval_spec(1_000 + 500 * (i as u64 % 2))),
+                |_| unreachable!("every item is answered remotely"),
+            )
+            .expect("fan")
+            .items
+            .into_iter()
+            .map(|r| r.expect("ok"))
+            .collect::<Vec<Vec<f64>>>()
+        };
+        let first = fan("cell");
+        let again = fan("recell");
+        assert_eq!(first, again);
+        // Items 0 and 2 share a spec and may run at the same time.
+        assert_eq!(first[0], first[2]);
+        assert_eq!(
+            dispatcher.served.load(Ordering::Relaxed),
+            2,
+            "two distinct specs, each sent once"
+        );
+        assert_eq!(ctx.remote_dispatched(), 6, "every item answered remotely");
+        assert_eq!(ctx.stats().executed, 0);
     }
 
     #[test]

@@ -38,6 +38,14 @@ use xps_workload::WorkloadProfile;
 /// cannot pin a worker with an unbounded budget.
 pub const MAX_TASK_OPS: u64 = 4_000_000;
 
+/// Most evaluations one task may make: an anneal spec's `iterations`,
+/// a search spec's `budget`. Four times the most any in-repo driver
+/// sends (the default search budget of 400; the full campaign anneals
+/// for 260 iterations), so no real campaign meets it, while a spec off
+/// the network cannot pin a worker for good. A coordinator whose
+/// spec is refused runs that task itself.
+pub const MAX_TASK_EVALS: u64 = 1_600;
+
 /// Which pipeline task a [`TaskSpec`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaskKind {
@@ -167,32 +175,25 @@ impl TaskSpec {
         }
     }
 
-    /// Run the task and serialize its result — the exact JSON the
-    /// local fan closure's result would journal, so a dispatched
-    /// result deserializes into the identical in-memory value.
+    /// Check everything [`execute`](TaskSpec::execute) relies on,
+    /// without running anything or allocating for the task.
     ///
     /// # Errors
     ///
     /// Returns a [`TaskSpecError`] when the spec is incoherent
-    /// (missing payload for its kind) or invalid (an empty or invalid
+    /// (missing payload for its kind) or invalid: an empty or invalid
     /// configuration group, an op budget of zero or above
-    /// [`MAX_TASK_OPS`], bad options). A spec may
-    /// come off the network, so nothing in it is trusted before this
-    /// check. Execution itself is infallible: the engine is total over
-    /// validated inputs.
-    pub fn execute(&self, cache: &EvalCache) -> Result<String, TaskSpecError> {
+    /// [`MAX_TASK_OPS`], more than [`MAX_TASK_EVALS`] evaluations, bad
+    /// options or an unknown explorer. A spec may come off the
+    /// network, so nothing in it is trusted before this check.
+    pub fn validate(&self) -> Result<(), TaskSpecError> {
+        let invalid = |e: crate::ExploreError| TaskSpecError::InvalidOptions(e.to_string());
         match self.kind {
             TaskKind::Anneal => {
-                let (Some(start), Some(opts), Some(tech)) = (&self.start, &self.opts, &self.tech)
-                else {
-                    return Err(TaskSpecError::MissingPayload("anneal: start/opts/tech"));
-                };
-                opts.validate()
-                    .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
+                let (_, opts, _) = self.anneal_payload()?;
+                opts.validate().map_err(invalid)?;
                 within_budget(opts.eval_ops_early.max(opts.eval_ops_late))?;
-                let result = anneal_with(&self.profile, start, opts, tech, Some(cache));
-                // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
-                Ok(serde_json::to_string(&result).expect("task results serialize to JSON"))
+                within_evals(u64::from(opts.iterations))
             }
             TaskKind::Eval => {
                 if self.configs.is_empty() {
@@ -207,6 +208,37 @@ impl TaskSpec {
                         .validate()
                         .map_err(|detail| TaskSpecError::InvalidConfig { index, detail })?;
                 }
+                Ok(())
+            }
+            TaskKind::Search => {
+                let (name, opts, _) = self.search_payload()?;
+                if explorer_by_name(name).is_none() {
+                    return Err(TaskSpecError::UnknownExplorer(name.to_string()));
+                }
+                opts.validate().map_err(invalid)?;
+                within_budget(opts.eval_ops)?;
+                within_evals(opts.budget)
+            }
+        }
+    }
+
+    /// Run the task and serialize its result — the exact JSON the
+    /// local fan closure's result would journal, so a dispatched
+    /// result deserializes into the identical in-memory value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`TaskSpecError`] of [`validate`](TaskSpec::validate),
+    /// which runs first. Execution itself is infallible: the engine is
+    /// total over validated inputs.
+    pub fn execute(&self, cache: &EvalCache) -> Result<String, TaskSpecError> {
+        self.validate()?;
+        let json = match self.kind {
+            TaskKind::Anneal => {
+                let (start, opts, tech) = self.anneal_payload()?;
+                serde_json::to_string(&anneal_with(&self.profile, start, opts, tech, Some(cache)))
+            }
+            TaskKind::Eval => {
                 // A group off the network may be of any size: split it
                 // by the same state bound the coordinator uses, so it
                 // never holds more live simulator state than one lone
@@ -216,25 +248,36 @@ impl TaskSpec {
                     .into_iter()
                     .flat_map(|g| cache.ipt_group(&self.profile, &self.configs[g], self.ops))
                     .collect();
-                // xps-allow(no-unwrap-in-lib): measured IPTs are finite f64s; serialization cannot fail
-                Ok(serde_json::to_string(&ipts).expect("task results serialize to JSON"))
+                serde_json::to_string(&ipts)
             }
             TaskKind::Search => {
-                let (Some(name), Some(opts), Some(tech)) =
-                    (&self.explorer, &self.search, &self.tech)
-                else {
-                    return Err(TaskSpecError::MissingPayload(
-                        "search: explorer/search/tech",
-                    ));
-                };
+                let (name, opts, tech) = self.search_payload()?;
                 let explorer = explorer_by_name(name)
-                    .ok_or_else(|| TaskSpecError::UnknownExplorer(name.clone()))?;
-                within_budget(opts.eval_ops)?;
+                    .ok_or_else(|| TaskSpecError::UnknownExplorer(name.to_string()))?;
                 let outcome = crate::search::search(&*explorer, &self.profile, tech, opts, cache)
                     .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
-                // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
-                Ok(serde_json::to_string(&outcome).expect("task results serialize to JSON"))
+                serde_json::to_string(&outcome)
             }
+        };
+        // xps-allow(no-unwrap-in-lib): task results are plain data structs and finite f64s; serialization cannot fail
+        Ok(json.expect("task results serialize to JSON"))
+    }
+
+    /// The payload of an anneal spec.
+    fn anneal_payload(&self) -> Result<(&DesignPoint, &AnnealOptions, &Technology), TaskSpecError> {
+        match (&self.start, &self.opts, &self.tech) {
+            (Some(start), Some(opts), Some(tech)) => Ok((start, opts, tech)),
+            _ => Err(TaskSpecError::MissingPayload("anneal: start/opts/tech")),
+        }
+    }
+
+    /// The payload of a search spec.
+    fn search_payload(&self) -> Result<(&str, &SearchOptions, &Technology), TaskSpecError> {
+        match (&self.explorer, &self.search, &self.tech) {
+            (Some(name), Some(opts), Some(tech)) => Ok((name, opts, tech)),
+            _ => Err(TaskSpecError::MissingPayload(
+                "search: explorer/search/tech",
+            )),
         }
     }
 }
@@ -243,6 +286,14 @@ impl TaskSpec {
 fn within_budget(ops: u64) -> Result<(), TaskSpecError> {
     if ops > MAX_TASK_OPS {
         return Err(TaskSpecError::OpsTooLarge(ops));
+    }
+    Ok(())
+}
+
+/// Refuse an evaluation count above [`MAX_TASK_EVALS`].
+fn within_evals(evals: u64) -> Result<(), TaskSpecError> {
+    if evals > MAX_TASK_EVALS {
+        return Err(TaskSpecError::TooManyEvals(evals));
     }
     Ok(())
 }
@@ -259,6 +310,9 @@ pub enum TaskSpecError {
     /// An evaluation length above [`MAX_TASK_OPS`] (carries the
     /// requested length).
     OpsTooLarge(u64),
+    /// An anneal's iterations or a search's budget above
+    /// [`MAX_TASK_EVALS`] (carries the requested count).
+    TooManyEvals(u64),
     /// Configuration `index` of an eval spec fails
     /// [`CoreConfig::validate`].
     InvalidConfig {
@@ -281,6 +335,12 @@ impl std::fmt::Display for TaskSpecError {
             TaskSpecError::ZeroOps => write!(f, "eval task needs ops >= 1"),
             TaskSpecError::OpsTooLarge(ops) => {
                 write!(f, "{ops} ops exceed the task bound of {MAX_TASK_OPS}")
+            }
+            TaskSpecError::TooManyEvals(evals) => {
+                write!(
+                    f,
+                    "{evals} evaluations exceed the task bound of {MAX_TASK_EVALS}"
+                )
             }
             TaskSpecError::InvalidConfig { index, detail } => {
                 write!(f, "eval config {index} invalid: {detail}")
@@ -464,5 +524,36 @@ mod tests {
             0,
             "a refused spec simulates nothing"
         );
+    }
+
+    /// The evaluation count is checked by validation alone, so these
+    /// specs are refused without running (or allocating for) a walk.
+    #[test]
+    fn evaluation_counts_are_bounded_before_anything_runs() {
+        let tech = Technology::default();
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = u32::MAX;
+        let a = TaskSpec::anneal(&gzip(), &DesignPoint::initial(), &opts, &tech);
+        assert_eq!(
+            a.validate(),
+            Err(TaskSpecError::TooManyEvals(u64::from(u32::MAX)))
+        );
+        let mut search = SearchOptions {
+            budget: MAX_TASK_EVALS + 1,
+            eval_ops: 1_000,
+            seed: 1,
+        };
+        let s = TaskSpec::search(&gzip(), "anneal", &search, &tech);
+        assert_eq!(
+            s.validate(),
+            Err(TaskSpecError::TooManyEvals(MAX_TASK_EVALS + 1))
+        );
+        // The bound itself is allowed.
+        opts.iterations = MAX_TASK_EVALS as u32;
+        let a = TaskSpec::anneal(&gzip(), &DesignPoint::initial(), &opts, &tech);
+        assert_eq!(a.validate(), Ok(()));
+        search.budget = MAX_TASK_EVALS;
+        let s = TaskSpec::search(&gzip(), "anneal", &search, &tech);
+        assert_eq!(s.validate(), Ok(()));
     }
 }

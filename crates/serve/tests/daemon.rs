@@ -137,7 +137,7 @@ fn metrics_sample_the_shared_eval_cache() {
 
 /// The smoke campaign twice over one worker: the second run is
 /// answered entirely from the worker's store — no task executes
-/// again, every remote task of the first run is one store hit — and
+/// again, every task the first run sent is one store hit — and
 /// gathers the identical document.
 #[test]
 fn a_repeated_campaign_is_answered_from_the_store() {
@@ -151,6 +151,7 @@ fn a_repeated_campaign_is_answered_from_the_store() {
 
     let first = run_campaign_with_fleet(&workloads, "smoke", 2, &fleet).expect("first run");
     assert!(first.remote_tasks > 0, "nothing ran remotely");
+    let sent = fleet.stats().dispatched;
     let executed = metric(&addr, &["fleet", "tasks_executed"]);
     let hits = metric(&addr, &["fleet", "task_store_hits"]);
 
@@ -164,8 +165,49 @@ fn a_repeated_campaign_is_answered_from_the_store() {
     );
     assert_eq!(
         metric(&addr, &["fleet", "task_store_hits"]) - hits,
-        first.remote_tasks,
-        "one store hit per remote task of the first run"
+        sent,
+        "one store hit per task the first run sent"
+    );
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign sends each distinct task spec once: a spec it asks for
+/// again (a later cross-seeding round repeating an evaluation) is
+/// answered from the response it already has, so the worker executes
+/// every task it is sent and answers none from its store. The document
+/// is still the single-node oracle's, byte for byte.
+#[test]
+fn a_campaign_sends_each_distinct_spec_once() {
+    let workloads = vec!["gzip".to_string(), "mcf".to_string()];
+    let local = Arc::new(Fleet::tcp(FleetConfig::new(Vec::new())));
+    let oracle = run_campaign_with_fleet(&workloads, "smoke", 2, &local).expect("local run");
+
+    let dir = data_dir("distinct");
+    let daemon = start(&dir);
+    let addr = daemon.addr.clone();
+    let mut cfg = FleetConfig::new(vec![addr.clone()]);
+    cfg.heartbeat_interval = Duration::ZERO;
+    let fleet = Arc::new(Fleet::tcp(cfg));
+    let run = run_campaign_with_fleet(&workloads, "smoke", 2, &fleet).expect("fleet run");
+    assert_eq!(run.document, oracle.document, "byte-identical documents");
+    let stats = fleet.stats();
+    assert_eq!(stats.degraded, 0, "every described task ran remotely");
+    assert_eq!(
+        metric(&addr, &["fleet", "task_store_hits"]),
+        0,
+        "a spec was sent twice"
+    );
+    assert_eq!(
+        metric(&addr, &["fleet", "tasks_executed"]),
+        stats.dispatched
+    );
+    assert!(
+        run.remote_tasks > stats.dispatched,
+        "the campaign repeats no spec, so this tests nothing: {} remote, {} sent",
+        run.remote_tasks,
+        stats.dispatched
     );
 
     daemon.stop();

@@ -290,19 +290,22 @@ fn oversized_eval_group_runs_as_bounded_runs_on_the_worker() {
 
 #[test]
 fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
-    use xps_core::explore::{TaskDispatcher, TaskSpec};
-    use xps_core::{paper, workload::spec};
+    use xps_core::explore::{AnnealOptions, DesignPoint, TaskDispatcher, TaskSpec};
+    use xps_core::{cacti::Technology, paper, workload::spec};
     use xps_serve::Transport;
     let worker = Worker::spawn("geometry");
     let fleet = Fleet::tcp(test_config(vec![worker.addr.clone()]));
     let profile = spec::profile("vpr").expect("known benchmark");
     let good = paper::table4_configs()[0].clone();
     let ops = 2_000;
+    let mut endless_walk = AnnealOptions::quick();
+    endless_walk.iterations = u32::MAX;
     // Geometries no design point has: a `sets × assoc` line count that
     // overflows, one just past the design space, zero ways, and a
     // block size that is not a power of two; a ROB that would
-    // allocate one ring entry per slot of a `u32::MAX` window; and a
-    // trace length that would pin the worker for good.
+    // allocate one ring entry per slot of a `u32::MAX` window; a trace
+    // length that would pin the worker for good; and an anneal of
+    // `u32::MAX` iterations, which would too.
     let hostile = |f: &dyn Fn(&mut xps_core::sim::CoreConfig)| {
         let mut c = good.clone();
         f(&mut c);
@@ -330,10 +333,21 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
             let spec = TaskSpec::eval(&profile, &[good.clone(), member], ops);
             (spec, ["eval config 1 invalid", what])
         })
-        .chain([(
-            TaskSpec::eval(&profile, std::slice::from_ref(&good), u64::MAX),
-            ["exceed the task bound", "18446744073709551615 ops"],
-        )]);
+        .chain([
+            (
+                TaskSpec::eval(&profile, std::slice::from_ref(&good), u64::MAX),
+                ["exceed the task bound", "18446744073709551615 ops"],
+            ),
+            (
+                TaskSpec::anneal(
+                    &profile,
+                    &DesignPoint::initial(),
+                    &endless_walk,
+                    &Technology::default(),
+                ),
+                ["exceed the task bound", "4294967295 evaluations"],
+            ),
+        ]);
     for (spec, needles) in specs {
         let resp = TcpTransport::default()
             .roundtrip(

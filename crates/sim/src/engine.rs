@@ -39,13 +39,16 @@
 //!   untouched.
 //! * **Per-op state stays in registers and in place.** The structural
 //!   parameters are hoisted out of [`CoreConfig`] into scalar fields
-//!   at construction, ring indices are carried incrementally instead
-//!   of recomputed with `%` (a division) per op, and operand readiness
-//!   reads through a sentinel register slot so the `Option<u8>` source
-//!   selects compile to branchless max chains. Ops are read where they
-//!   already are: a replayed trace is stepped as 256-op slices of the
-//!   cached trace, and only a streamed trace is copied, once per chunk,
-//!   into a buffer ([`step_chunk`] is the one stepping loop).
+//!   at construction, and ring indices are carried incrementally
+//!   instead of recomputed with `%` (a division) per op. The engine
+//!   steps [`PackedOp`]s: 16 bytes holding only what it reads, with an
+//!   absent register on a sentinel slot of `regs_avail` (one always
+//!   ready, one write-only), so operand reads compile to branchless max
+//!   chains and the destination write is unconditional. Ops are read
+//!   where they already are: a replayed trace is stepped as 256-op
+//!   slices of the packed cached trace, and only a streamed trace is
+//!   packed, once per chunk for the whole group, into a buffer
+//!   ([`step_chunk`] is the one stepping loop).
 //!
 //! The data caches behind `step` are constant-time per way as well:
 //! last-use stamps instead of a rank array, zeroed arrays as the empty
@@ -57,7 +60,7 @@ use crate::config::CoreConfig;
 use crate::predictor::{Predictor, PredictorKind};
 use crate::stats::SimStats;
 use std::ops::Range;
-use xps_workload::{MicroOp, OpClass, REG_COUNT};
+use xps_workload::{MicroOp, OpClass, PackedOp, REG_COUNT};
 
 /// Execution latencies (cycles) by op class.
 const LAT_ALU: u64 = 1;
@@ -76,10 +79,6 @@ const STORE_FILTER: usize = 256;
 /// Dense slot-counter window in cycles (power of two). Claims beyond
 /// the window spill to a sorted list; see [`SlotWindow`].
 const SLOT_WINDOW: usize = 4096;
-/// Sentinel index one past the architectural registers: reads for an
-/// absent source land here (always 0, never written).
-const NO_SRC: usize = REG_COUNT;
-
 /// Per-cycle issue-slot usage over a sliding window of cycles.
 ///
 /// The window floor (`base`) only moves forward, and only to cycles no
@@ -227,9 +226,10 @@ pub struct Simulator {
     lsqd: u64,
     wakeup: u64,
     penalty: u64,
-    /// Cycle at which a dependent of each register may issue; the last
-    /// slot is the always-ready sentinel for absent sources.
-    regs_avail: [u64; REG_COUNT + 1],
+    /// Cycle at which a dependent of each register may issue, then
+    /// the two sentinel slots: [`PackedOp::NO_SRC`] (never written, so
+    /// always ready) and [`PackedOp::NO_DEST`] (written, never read).
+    regs_avail: [u64; REG_COUNT + 2],
     /// Commit cycle of op `i`, indexed `i % rob_size`.
     commit_ring: Vec<u64>,
     /// Issue cycle of op `i`, indexed `i % iq_size`.
@@ -310,7 +310,7 @@ impl Simulator {
             lsqd: u64::from(cfg.lsq_depth),
             wakeup: u64::from(cfg.wakeup_extra),
             penalty: u64::from(cfg.mispredict_penalty()),
-            regs_avail: [0; REG_COUNT + 1],
+            regs_avail: [0; REG_COUNT + 2],
             commit_ring: vec![0; cfg.rob_size as usize],
             issue_ring: vec![0; cfg.iq_size as usize],
             mem_ring: vec![0; cfg.lsq_size as usize],
@@ -380,10 +380,10 @@ impl Simulator {
     /// stable API — use [`Simulator::run`] for simulation.
     #[doc(hidden)]
     pub fn step_op(&mut self, op: &MicroOp) {
-        self.step(op);
+        self.step(&PackedOp::from(op));
     }
 
-    fn step(&mut self, op: &MicroOp) {
+    fn step(&mut self, op: &PackedOp) {
         let i = self.ops;
         self.ops += 1;
         let fe = self.fe;
@@ -399,7 +399,8 @@ impl Simulator {
         if i >= iq {
             fetch = fetch.max(self.issue_ring[self.iq_idx].saturating_sub(fe));
         }
-        let is_mem = op.class.is_mem();
+        let class = op.class();
+        let is_mem = class.is_mem();
         if is_mem && self.mem_ops >= lsq {
             fetch = fetch.max(self.mem_ring[self.lsq_idx].saturating_sub(fe));
         }
@@ -421,12 +422,10 @@ impl Simulator {
         // never decreases), so cycles below that are dead: slide the
         // slot window floor up to them.
         self.issue_slots.advance(self.cur_fetch + fe + self.sched);
-        let s0 = op.srcs[0].map_or(NO_SRC, usize::from);
-        let s1 = op.srcs[1].map_or(NO_SRC, usize::from);
         let mut ready = (dispatch + self.sched)
-            .max(self.regs_avail[s0])
-            .max(self.regs_avail[s1]);
-        if op.class == OpClass::Load {
+            .max(self.regs_avail[op.src0()])
+            .max(self.regs_avail[op.src1()]);
+        if class == OpClass::Load {
             // Conservative disambiguation: wait for older store
             // addresses to be known.
             ready = ready.max(self.store_addr_barrier);
@@ -438,14 +437,15 @@ impl Simulator {
 
         // --- Execute.
         let lsqd = self.lsqd;
-        let complete = match op.class {
+        let complete = match class {
             OpClass::IntAlu => issue + LAT_ALU,
             OpClass::IntMul => issue + LAT_MUL,
             OpClass::IntDiv => issue + LAT_DIV,
             OpClass::Branch => issue + LAT_BRANCH,
             OpClass::Load => {
                 let agen_done = issue + LAT_AGEN;
-                let addr8 = op.addr & !7;
+                let addr = op.word();
+                let addr8 = addr & !7;
                 // Store-to-load forwarding from the youngest matching
                 // older store; the LSQ search costs its pipeline depth.
                 let search_done = agen_done + lsqd;
@@ -464,7 +464,7 @@ impl Simulator {
                 };
                 match forwarded {
                     Some(data_ready) => search_done.max(data_ready) + LAT_FORWARD,
-                    None => self.dcache.access(op.addr, search_done),
+                    None => self.dcache.access(addr, search_done),
                 }
             }
             OpClass::Store => {
@@ -472,9 +472,10 @@ impl Simulator {
                 // operand (src 1), not on the data it writes (src 0), so
                 // disambiguation does not serialize loads behind the
                 // store's data chain.
-                let addr_ready = (dispatch + self.sched).max(self.regs_avail[s1]);
+                let addr_ready = (dispatch + self.sched).max(self.regs_avail[op.src1()]);
                 let agen_done = addr_ready + LAT_AGEN;
-                let addr8 = op.addr & !7;
+                let addr = op.word();
+                let addr8 = addr & !7;
                 // Data readiness is bounded by operand availability
                 // (already folded into `issue`).
                 let data_ready = issue + LAT_AGEN + lsqd;
@@ -485,24 +486,23 @@ impl Simulator {
                 self.store_addr_barrier = self.store_addr_barrier.max(agen_done);
                 // The cache write happens at commit in a real machine;
                 // for content tracking we touch it now.
-                self.dcache.access(op.addr, agen_done);
+                self.dcache.access(addr, agen_done);
                 data_ready
             }
         };
 
-        if let Some(d) = op.dest {
-            self.regs_avail[d as usize] = complete + self.wakeup;
-        }
+        self.regs_avail[op.dest()] = complete + self.wakeup;
 
         // --- Branch resolution.
-        if let Some(b) = op.branch {
+        if class == OpClass::Branch {
             self.branches += 1;
-            let correct = self.predictor.predict_and_update(op.pc, b.taken);
+            let taken = op.taken();
+            let correct = self.predictor.predict_and_update(op.word(), taken);
             if !correct {
                 self.mispredicts += 1;
                 self.redirect_barrier = self.redirect_barrier.max(complete + self.penalty);
             }
-            if b.taken {
+            if taken {
                 // A taken branch ends the fetch group: the front end
                 // cannot fetch past a taken branch in the same cycle,
                 // which is what keeps very wide machines from being
@@ -567,7 +567,7 @@ const CHUNK: usize = 256;
 /// means each op is produced once however many simulators consume it.
 /// Simulators share nothing, so each sees exactly the op sequence a
 /// lone run would: a group is bit-identical to separate runs.
-fn step_chunk(sims: &mut [Simulator], chunk: &[MicroOp]) {
+fn step_chunk(sims: &mut [Simulator], chunk: &[PackedOp]) {
     for sim in sims.iter_mut() {
         for op in chunk {
             sim.step(op);
@@ -577,16 +577,17 @@ fn step_chunk(sims: &mut [Simulator], chunk: &[MicroOp]) {
 
 /// Step every simulator of `sims` over up to `max_ops` micro-ops of a
 /// streamed `trace`, [`CHUNK`] ops at a time through one buffer (no
-/// per-op allocation). The count is carried in u64 — `take(max_ops as
-/// usize)` would silently truncate a >4G-op budget on 32-bit targets.
+/// per-op allocation): each op is packed once, for the whole group.
+/// The count is carried in u64 — `take(max_ops as usize)` would
+/// silently truncate a >4G-op budget on 32-bit targets.
 fn step_streamed(sims: &mut [Simulator], trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) {
     let mut it = trace.into_iter();
-    let mut buf: Vec<MicroOp> = Vec::with_capacity(CHUNK);
+    let mut buf: Vec<PackedOp> = Vec::with_capacity(CHUNK);
     let mut taken = 0u64;
     while taken < max_ops {
         buf.clear();
         let want = (max_ops - taken).min(CHUNK as u64) as usize;
-        buf.extend(it.by_ref().take(want));
+        buf.extend(it.by_ref().take(want).map(|op| PackedOp::from(&op)));
         if buf.is_empty() {
             break;
         }

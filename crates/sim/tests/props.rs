@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use xps_cacti::CacheGeometry;
-use xps_sim::{cache_state_bytes, lockstep_groups, CacheConfig, CoreConfig, Simulator};
-use xps_workload::{spec, TraceGenerator};
+use xps_sim::{
+    cache_state_bytes, lockstep_groups, CacheConfig, CoreConfig, ReferenceSimulator, Simulator,
+};
+use xps_workload::{spec, BranchInfo, MicroOp, OpClass, TraceGenerator, REG_COUNT};
 
 fn arb_config() -> impl Strategy<Value = CoreConfig> {
     (
@@ -51,8 +53,60 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
         })
 }
 
+/// One hand-built micro-op of any class, with any mix of absent and
+/// present registers (absent about one time in three), an arbitrary
+/// PC, branch target and outcome, and an address that is arbitrary or
+/// drawn from a few shared blocks (so loads meet stores to forward
+/// from). Branch information is present exactly on branches, the
+/// `MicroOp` invariant.
+fn arb_micro_op() -> impl Strategy<Value = MicroOp> {
+    const CLASSES: [OpClass; 6] = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::IntDiv,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Branch,
+    ];
+    const BLOCKS: [u64; 6] = [0, 4, 8, 4096, 4100, 1 << 20];
+    let reg = REG_COUNT as u8;
+    let operand = move |r: u8| (r < reg).then_some(r);
+    (
+        prop::sample::select(CLASSES.to_vec()),
+        any::<u64>(),
+        (0u8..reg + reg / 2, 0u8..reg + reg / 2, 0u8..reg + reg / 2),
+        (any::<u64>(), 0usize..2 * BLOCKS.len()),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            move |(class, pc, (dest, s0, s1), (addr, block), taken, target)| MicroOp {
+                pc,
+                class,
+                dest: operand(dest),
+                srcs: [operand(s0), operand(s1)],
+                addr: BLOCKS.get(block).copied().unwrap_or(addr),
+                branch: (class == OpClass::Branch).then_some(BranchInfo { taken, target }),
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The engine steps packed ops; the reference steps `MicroOp`s.
+    /// Equal stats on hand-built streams of every class show the
+    /// packing keeps everything the timing depends on.
+    #[test]
+    fn packed_engine_matches_reference_on_hand_built_ops(
+        cfg in arb_config(),
+        ops in (1usize..1_500).prop_flat_map(|n| prop::collection::vec(arb_micro_op(), n)),
+    ) {
+        let n = ops.len() as u64;
+        let packed = Simulator::new(&cfg).run(ops.iter().copied(), n);
+        let reference = ReferenceSimulator::new(&cfg).run(ops, n);
+        prop_assert_eq!(packed, reference);
+    }
 
     /// Any generated configuration validates and simulates every
     /// benchmark to a positive, width-bounded IPC.

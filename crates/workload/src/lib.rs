@@ -11,6 +11,9 @@
 //! aggregate behaviour matches the benchmark's published personality:
 //! working-set sizes, branch bias and predictability, density of
 //! dependence chains, load/store frequency, and pointer-chasing degree.
+//! A timing core reads the 16-byte [`PackedOp`] projection of each op,
+//! and the process-wide replay cache ([`with_cached_trace`]) holds
+//! materialized traces in that form.
 //!
 //! The crate also implements the *raw* (microarchitecture-independent)
 //! characterization the paper contrasts against configurational
@@ -40,7 +43,7 @@ pub mod spec;
 
 pub use characterize::{CharacterVector, Characterizer, HIST_BUCKETS, KIVIAT_AXES};
 pub use gen::{with_generator, TraceGenerator};
-pub use op::{BranchInfo, MicroOp, OpClass, REG_COUNT};
+pub use op::{BranchInfo, MicroOp, OpClass, PackedOp, REG_COUNT};
 pub use profile::{ControlBehavior, DependenceBehavior, MemoryBehavior, OpMix, WorkloadProfile};
 #[doc(hidden)]
 pub use replay::replay_cache_footprint;

@@ -6,7 +6,9 @@
 //! generator's per-op sampling work into a linear read for every later
 //! evaluation. This is classic trace-driven simulation, and it is what
 //! the exploration loop does: dozens to thousands of configurations, a
-//! handful of workload profiles.
+//! handful of workload profiles. The trace is held as [`PackedOp`]s,
+//! the 16 bytes of each op a timing core reads, not as 40-byte
+//! [`MicroOp`](crate::MicroOp)s.
 //!
 //! One cache serves the whole process — every fan-out thread and every
 //! daemon connection handler — so a trace is materialized once per
@@ -23,23 +25,24 @@
 //!   while in use stays valid until its last reader is done.
 
 use crate::gen::with_generator;
-use crate::op::MicroOp;
+use crate::op::PackedOp;
 use crate::profile::WorkloadProfile;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Largest single trace (in ops) the replay cache will materialize.
 /// Bigger requests stream through [`with_generator`] instead — a
-/// million-op campaign trace would hold tens of megabytes.
+/// million-op campaign trace would hold 16 MB even packed.
 pub const REPLAY_CACHE_MAX_OPS: u64 = 65_536;
 
 /// Total ops the replay cache holds across traces: room for two
 /// maximal traces, so the longest trace of one workload never evicts
-/// the other workload of a pair evaluated against each other.
+/// the other workload of a pair evaluated against each other. At 16
+/// bytes per packed op that is 2 MiB.
 const REPLAY_CACHE_TOTAL_OPS: u64 = 2 * REPLAY_CACHE_MAX_OPS;
 
 /// One materialized trace: filled once, by whichever caller gets to it
 /// first, and shared by reference count with every reader.
-type SharedTrace = Arc<OnceLock<Vec<MicroOp>>>;
+type SharedTrace = Arc<OnceLock<Vec<PackedOp>>>;
 
 struct Entry {
     profile: WorkloadProfile,
@@ -99,14 +102,14 @@ impl ReplayCache {
 }
 
 /// Run `f` over the first `ops` micro-ops of `profile`'s trace as a
-/// slice, served from the process-wide replay cache (see the module
-/// documentation for its rules).
+/// slice of packed ops, served from the process-wide replay cache (see
+/// the module documentation for its rules).
 ///
 /// Returns `None` (without running `f`) when `ops` exceeds
 /// [`REPLAY_CACHE_MAX_OPS`]; callers fall back to streaming via
 /// [`with_generator`]. The cached trace is exactly the stream
-/// `TraceGenerator::new(profile)` yields, so results are bit-identical
-/// to streaming.
+/// `TraceGenerator::new(profile)` yields, packed op by op, so results
+/// are bit-identical to streaming.
 ///
 /// Each materialization records a volatile `workload.materialize`
 /// instant carrying its `ops`: which of several racing callers
@@ -114,7 +117,7 @@ impl ReplayCache {
 pub fn with_cached_trace<R>(
     profile: &WorkloadProfile,
     ops: u64,
-    f: impl FnOnce(&[MicroOp]) -> R,
+    f: impl FnOnce(&[PackedOp]) -> R,
 ) -> Option<R> {
     if ops > REPLAY_CACHE_MAX_OPS {
         return None;
@@ -131,7 +134,9 @@ pub fn with_cached_trace<R>(
         // exact-size buffers of traces outliving their threads
         // fragmented the per-thread arenas, +15% peak RSS on the
         // two-worker fleet; capacity past `len` is never written.
-        with_generator(profile, |g| g.take(len as usize).collect())
+        with_generator(profile, |g| {
+            g.take(len as usize).map(|op| PackedOp::from(&op)).collect()
+        })
     });
     Some(f(&held[..ops as usize]))
 }
@@ -151,6 +156,15 @@ mod tests {
     use super::*;
     use crate::gen::TraceGenerator;
     use crate::spec;
+
+    /// The first `ops` ops of a fresh generator for `p`, packed: what
+    /// the cache must hand out.
+    fn fresh(p: &WorkloadProfile, ops: usize) -> Vec<PackedOp> {
+        TraceGenerator::new(p.clone())
+            .take(ops)
+            .map(|op| PackedOp::from(&op))
+            .collect()
+    }
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
@@ -187,7 +201,7 @@ mod tests {
     fn cached_trace_replays_fresh_stream() {
         let _serial = serial();
         let p = private_profile("gcc");
-        let fresh: Vec<MicroOp> = TraceGenerator::new(p.clone()).take(1000).collect();
+        let fresh = fresh(&p, 1000);
         // First call materializes, second replays from cache; both see
         // the exact fresh stream.
         let (first, made) = counting(|| with_cached_trace(&p, 1000, |t| t.to_vec()));
@@ -210,9 +224,9 @@ mod tests {
         const THREADS: usize = 8;
         let p = private_profile("mcf");
         let ops = 20_000;
-        let fresh: Vec<MicroOp> = TraceGenerator::new(p.clone()).take(ops).collect();
+        let fresh = fresh(&p, ops);
         let start = Barrier::new(THREADS);
-        let runs: Vec<(Vec<MicroOp>, usize)> = std::thread::scope(|s| {
+        let runs: Vec<(Vec<PackedOp>, usize)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     s.spawn(|| {
@@ -240,7 +254,7 @@ mod tests {
     fn a_trace_evicted_in_use_stays_readable() {
         let _serial = serial();
         let p = private_profile("gzip");
-        let fresh: Vec<MicroOp> = TraceGenerator::new(p.clone()).take(5_000).collect();
+        let fresh = fresh(&p, 5_000);
         with_cached_trace(&p, 5_000, |held| {
             // Two maximal traces of other workloads fill the whole
             // bound, evicting `p`'s trace while this reader holds it.
