@@ -2,21 +2,27 @@
 //!
 //! `xps-analyze data <dir>` walks a results/data directory and
 //! validates every artifact the toolchain produces, without running a
-//! single simulation:
+//! single simulation. Journals and store records are read by the very
+//! readers that load them, so the checker accepts exactly what a
+//! resumed run or a worker would:
 //!
-//! * **journals** (`*.jsonl`) — every record's FNV checksum matches
-//!   its payload, task keys are strictly ascending (the journal is a
-//!   sorted snapshot), and no key appears twice;
-//! * **store records** (`<16 hex>.json`) — the header id matches the
-//!   filename, the body matches the header checksum, and any embedded
-//!   cross-performance matrix is well-formed;
+//! * **journals** (`*.jsonl`) — [`parse_journal`], the reader behind
+//!   `Journal::open`: every complete line is a record whose FNV
+//!   checksum matches its payload (a torn final line is dropped, as
+//!   `open` drops it);
+//! * **store records** (`<16 hex>.json`, or `task-<16 hex>.json` as a
+//!   worker files them) — [`decode_record`], the
+//!   reader behind `ResultStore::get`: the header id matches the
+//!   filename and the body matches the header checksum; any embedded
+//!   cross-performance matrix must also be well-formed;
 //! * **measured results** (`measured*.json`) — the envelope checksum
 //!   recomputes from the payload, every design point and realized
 //!   configuration lies inside the model domains (clock range,
 //!   candidate associativities/blocks, CACTI size lists, `iq ≤ rob`,
 //!   `L2 ≥ L1`), and the matrix holds no NaN, non-positive, or
 //!   undocumented-subnormal IPT (only [`FAILED_CELL_IPT`] marks a
-//!   failed cell).
+//!   failed cell). The envelope's reader lives in `xps-bench`, which
+//!   depends on this crate, so its checksum is re-derived here.
 //!
 //! Artifacts cannot carry `xps-allow` comments, so every artifact
 //! finding is deny severity: a bad artifact is corrupt, not stylistic.
@@ -25,9 +31,9 @@ use crate::diag::{Finding, Report, Severity};
 use serde::Value;
 use std::path::Path;
 use xps_core::cacti::fit;
-use xps_core::explore::fnv64;
+use xps_core::explore::{fnv64, parse_journal, JournalError};
 use xps_core::FAILED_CELL_IPT;
-use xps_serve::body_checksum;
+use xps_serve::decode_record;
 
 /// Every rule id the artifact checker can emit. Part of the known-id
 /// set an `xps-allow` may name (naming any other id is a deny), and
@@ -49,8 +55,8 @@ pub(crate) const RULE_SUMMARIES: [(&str, &str); 5] = [
     ),
     (
         "journal-record",
-        "a journal record whose FNV checksum mismatches its payload, out-of-order or \
-         duplicate task keys, or unparseable JSONL",
+        "a complete journal line that is not a record or whose FNV checksum mismatches \
+         its payload (the file Journal::open would refuse)",
     ),
     (
         "matrix-domain",
@@ -124,7 +130,7 @@ pub fn check_dir(dir: &Path) -> Result<Report, String> {
             continue;
         };
         report.files_checked += 1;
-        let raw = match std::fs::read_to_string(&path) {
+        let raw = match std::fs::read(&path) {
             Ok(raw) => raw,
             Err(e) => {
                 report.findings.push(deny(
@@ -174,8 +180,10 @@ fn classify(path: &Path) -> Option<ArtifactKind> {
         return Some(ArtifactKind::Journal);
     }
     if let Some(stem) = name.strip_suffix(".json") {
-        if stem.len() == 16
-            && stem
+        // A worker files each task result as `task-<id>.json`.
+        let hex = stem.strip_prefix("task-").unwrap_or(stem);
+        if hex.len() == 16
+            && hex
                 .bytes()
                 .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
         {
@@ -191,121 +199,43 @@ fn classify(path: &Path) -> Option<ArtifactKind> {
 // ---------------------------------------------------------------------
 // journals
 
-fn journal_crc(task: &str, value: &str) -> String {
-    format!(
-        "{:016x}",
-        fnv64(fnv64(0, task.as_bytes()), value.as_bytes())
-    )
-}
-
-fn check_journal(rel: &str, raw: &str, out: &mut Vec<Finding>) {
-    let mut prev: Option<String> = None;
-    for (i, line) in raw.lines().enumerate() {
-        let lineno = (i + 1) as u32;
-        if line.trim().is_empty() {
-            continue;
+fn check_journal(rel: &str, raw: &[u8], out: &mut Vec<Finding>) {
+    let (line, message) = match parse_journal(Path::new(rel), raw) {
+        Ok(_) => return,
+        Err(JournalError::Checksum { task, line }) => {
+            (line, format!("checksum mismatch on task `{task}`"))
         }
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
-            out.push(deny(
-                rel,
-                lineno,
-                "journal-record",
-                "record is not valid JSON".to_string(),
-                "a journal this run cannot replay is corrupt; delete it and re-run",
-            ));
-            continue;
-        };
-        let fields = (
-            v.member("task").and_then(|t| t.as_str().map(String::from)),
-            v.member("crc").and_then(|c| c.as_str().map(String::from)),
-            v.member("value").and_then(|x| x.as_str().map(String::from)),
-        );
-        let (Ok(task), Ok(crc), Ok(value)) = fields else {
-            out.push(deny(
-                rel,
-                lineno,
-                "journal-record",
-                "record is missing task/crc/value string fields".to_string(),
-                "a journal this run cannot replay is corrupt; delete it and re-run",
-            ));
-            continue;
-        };
-        if crc != journal_crc(&task, &value) {
-            out.push(deny(
-                rel,
-                lineno,
-                "journal-record",
-                format!("checksum mismatch on task `{task}`"),
-                "the record was tampered with or bit-flipped; resuming from it would \
-                 silently diverge",
-            ));
+        Err(JournalError::Corrupt { line, detail, .. }) => {
+            (line, format!("corrupt record: {detail}"))
         }
-        if let Some(p) = &prev {
-            if *p >= task {
-                out.push(deny(
-                    rel,
-                    lineno,
-                    "journal-record",
-                    if *p == task {
-                        format!("duplicate task key `{task}`")
-                    } else {
-                        format!("task keys out of order: `{task}` after `{p}`")
-                    },
-                    "journals are sorted snapshots with unique keys; this file was not \
-                     written by the journal",
-                ));
-            }
-        }
-        prev = Some(task);
-    }
+        Err(e) => (1, e.to_string()),
+    };
+    out.push(deny(
+        rel,
+        line as u32,
+        "journal-record",
+        message,
+        "a resumed run refuses this journal; delete it and re-run",
+    ));
 }
 
 // ---------------------------------------------------------------------
 // store records
 
-fn check_store_record(rel: &str, id: &str, raw: &str, out: &mut Vec<Finding>) {
-    let Some((header, body)) = raw.split_once('\n') else {
-        out.push(deny(
-            rel,
-            1,
-            "store-record",
-            "record has no header line".to_string(),
-            "store records are `<id> <checksum>\\n<body>`; remove the torn record",
-        ));
-        return;
+fn check_store_record(rel: &str, id: &str, raw: &[u8], out: &mut Vec<Finding>) {
+    let body = match decode_record(id, raw) {
+        Ok(body) => body,
+        Err(detail) => {
+            out.push(deny(
+                rel,
+                1,
+                "store-record",
+                detail,
+                "a worker refuses this record; remove it",
+            ));
+            return;
+        }
     };
-    let Some((stored_id, stored_sum)) = header.split_once(' ') else {
-        out.push(deny(
-            rel,
-            1,
-            "store-record",
-            format!("malformed header `{header}`"),
-            "store records are `<id> <checksum>\\n<body>`; remove the torn record",
-        ));
-        return;
-    };
-    if stored_id != id {
-        out.push(deny(
-            rel,
-            1,
-            "store-record",
-            format!("record is addressed `{stored_id}` but filed as `{id}`"),
-            "a mislabeled record answers the wrong request; remove it",
-        ));
-    }
-    if body_checksum(body) != stored_sum {
-        out.push(deny(
-            rel,
-            1,
-            "store-record",
-            format!(
-                "checksum mismatch: header says {stored_sum}, body hashes to {}",
-                body_checksum(body)
-            ),
-            "the body was tampered with or truncated; remove the record",
-        ));
-        return;
-    }
     // Body is intact — if it embeds a matrix and cores (a campaign
     // document), hold them to the model domains too.
     let Ok(v) = serde_json::from_str::<Value>(body) else {
@@ -331,8 +261,9 @@ fn check_store_record(rel: &str, id: &str, raw: &str, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------
 // measured results
 
-fn check_measured(rel: &str, raw: &str, out: &mut Vec<Finding>) {
-    let Ok(v) = serde_json::from_str::<Value>(raw) else {
+fn check_measured(rel: &str, raw: &[u8], out: &mut Vec<Finding>) {
+    let parsed = std::str::from_utf8(raw).map(serde_json::from_str::<Value>);
+    let Ok(Ok(v)) = parsed else {
         out.push(deny(
             rel,
             1,
@@ -654,8 +585,10 @@ fn check_config(rel: &str, at: &str, config: &Value, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::path::PathBuf;
-    use xps_serve::content_id;
+    use xps_core::explore::Journal;
+    use xps_serve::{body_checksum, content_id, ResultStore};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xps-analyze-{name}-{}", std::process::id()));
@@ -671,39 +604,27 @@ mod tests {
     #[test]
     fn valid_journal_is_clean_and_tampered_is_not() {
         let dir = tmp("journal");
-        let rec = |task: &str, value: &str| {
-            format!(
-                "{{\"task\":\"{task}\",\"crc\":\"{}\",\"value\":\"{value}\"}}",
-                journal_crc(task, value)
-            )
-        };
-        std::fs::write(
-            dir.join("run.jsonl"),
-            format!("{}\n{}\n", rec("a#0", "1"), rec("b#0", "2")),
-        )
-        .expect("write");
+        // Completion order with a re-recorded task: `Journal::open`
+        // accepts it (the later line wins), so the checker does too.
+        let journal = Journal::create(dir.join("run.jsonl")).expect("create");
+        for (task, value) in [("b#0", "2"), ("a#0", "1"), ("a#0", "1")] {
+            journal.record(task, value.into()).expect("record");
+        }
         let r = check_dir(&dir).expect("walk");
         assert!(r.is_clean(), "{:?}", r.findings);
         assert_eq!(r.files_checked, 1);
 
+        let text = std::fs::read_to_string(dir.join("run.jsonl")).expect("read");
         std::fs::write(
             dir.join("bad.jsonl"),
-            format!(
-                "{}\n{}\n{}\n",
-                rec("b#0", "2"),
-                rec("a#0", "1"), // out of order
-                rec("a#0", "1")  // duplicate
-            )
-            .replace("\"value\":\"2\"", "\"value\":\"3\""), // breaks b#0's crc
+            text.replace("\"value\":\"2\"", "\"value\":\"3\""), // breaks b#0's crc
         )
         .expect("write");
         let r = check_dir(&dir).expect("walk");
-        let rules = rules_of(&r);
+        assert_eq!(rules_of(&r), vec!["journal-record"], "{:?}", r.findings);
         assert_eq!(
-            rules,
-            vec!["journal-record", "journal-record", "journal-record"],
-            "{:?}",
-            r.findings
+            (r.findings[0].file.as_str(), r.findings[0].line),
+            ("bad.jsonl", 1)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -718,17 +639,26 @@ mod tests {
             format!("{id} {}\n{body}", body_checksum(body)),
         )
         .expect("write");
+        // A record as a worker's store files it.
+        let task = format!("task-{id}");
+        ResultStore::open(&dir)
+            .expect("store")
+            .put(&task, body)
+            .expect("put");
         let r = check_dir(&dir).expect("walk");
         assert!(r.is_clean(), "{:?}", r.findings);
+        assert_eq!(r.files_checked, 2);
 
-        // Tampered body.
-        std::fs::write(
-            dir.join(format!("{id}.json")),
-            format!("{id} {}\n{{\"ok\":false}}", body_checksum(body)),
-        )
-        .expect("write");
+        // Tampered bodies.
+        for name in [&id, &task] {
+            std::fs::write(
+                dir.join(format!("{name}.json")),
+                format!("{name} {}\n{{\"ok\":false}}", body_checksum(body)),
+            )
+            .expect("write");
+        }
         let r = check_dir(&dir).expect("walk");
-        assert_eq!(rules_of(&r), vec!["store-record"]);
+        assert_eq!(rules_of(&r), vec!["store-record", "store-record"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -828,5 +758,44 @@ mod tests {
             r.files_checked >= 1,
             "results/measured-quick.json must be checked"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The checker reads a journal with `parse_journal`, the reader
+        /// behind `Journal::open`: it flags a file exactly when that
+        /// reader refuses it.
+        #[test]
+        fn journal_findings_agree_with_the_shared_reader(
+            noise in proptest::collection::vec(any::<u8>(), 64),
+            mutate in any::<bool>(),
+            at in 0usize..1_000,
+            byte in any::<u8>(),
+            cut in 0usize..1_000,
+        ) {
+            let dir = tmp(&format!("agree-{at}-{byte}-{cut}"));
+            let path = dir.join("x.jsonl");
+            let mut bytes = if mutate {
+                // A real journal with one byte replaced.
+                let journal = Journal::create(&path).expect("create");
+                for (task, value) in [("anneal#0/0", "1.25"), ("seed#1/2", "[0.5,2.0]")] {
+                    journal.record(task, value.into()).expect("record");
+                }
+                let mut bytes = std::fs::read(&path).expect("read");
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                bytes
+            } else {
+                noise
+            };
+            bytes.truncate(bytes.len() - cut % (bytes.len() + 1));
+            std::fs::write(&path, &bytes).expect("write");
+            let r = check_dir(&dir).expect("walk");
+            let flagged = r.findings.iter().any(|f| f.rule == "journal-record");
+            let refused = parse_journal(Path::new("x.jsonl"), &bytes).is_err();
+            prop_assert_eq!(flagged, refused, "{:?}", r.findings);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -7,7 +7,7 @@ use xps_explore::{ExploreError, JournalError};
 ///
 /// Per-task failures (a panicking anneal, a failing matrix cell) do
 /// not abort — they are retried, then degraded around and reported in
-/// [`PipelineStats::recovery`](crate::pipeline::PipelineStats); these
+/// [`ExploreStats::recovery`](xps_explore::ExploreStats); these
 /// variants are the conditions with no sensible degradation.
 #[derive(Debug)]
 pub enum PipelineError {

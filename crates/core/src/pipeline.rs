@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
-    merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, ExploreOptions,
-    RecoveryStats, RunContext,
+    merge_counts, resolve_jobs, Campaign, CustomizedCore, EvalCache, ExploreOptions, ExploreStats,
+    RunContext,
 };
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
@@ -19,7 +19,7 @@ use xps_workload::WorkloadProfile;
 /// every retry. Positive (so the matrix stays valid) but smaller than
 /// any real measurement, so a failed cell can never win a replacement
 /// decision; the failed task is listed in the run's
-/// [`RecoveryStats::failed_tasks`].
+/// [`RecoveryStats::failed_tasks`](xps_explore::RecoveryStats::failed_tasks).
 pub const FAILED_CELL_IPT: f64 = f64::MIN_POSITIVE;
 
 /// Options of the full measured pipeline.
@@ -88,23 +88,6 @@ impl Pipeline {
     }
 }
 
-/// Execution counters of one pipeline run: pool shape and evaluation
-/// cache effectiveness across both the exploration and the matrix
-/// phases. Informational only — results do not depend on it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PipelineStats {
-    /// Worker threads the fan-outs ran on.
-    pub workers: usize,
-    /// Tasks (anneals or cell evaluations) completed per worker.
-    pub per_worker_tasks: Vec<u64>,
-    /// Evaluation-cache counters, shared across both phases.
-    pub cache: CacheCounters,
-    /// Crash-safety counters spanning both phases: executed vs
-    /// journal-salvaged tasks, retries, injected faults, and
-    /// permanently failed tasks.
-    pub recovery: RecoveryStats,
-}
-
 /// Everything the measured pipeline produces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineResult {
@@ -112,8 +95,9 @@ pub struct PipelineResult {
     pub cores: Vec<CustomizedCore>,
     /// The measured cross-configuration matrix (the measured Table 5).
     pub matrix: CrossPerfMatrix,
-    /// Parallelism and cache counters of this run.
-    pub stats: PipelineStats,
+    /// Parallelism, cache and recovery counters of this run, across
+    /// both the exploration and the matrix phases.
+    pub stats: ExploreStats,
 }
 
 /// Build a cross-configuration matrix by simulating every workload on
@@ -158,9 +142,9 @@ pub fn cross_matrix_with(
 /// The crash-safe [`cross_matrix_with`]: every cell measurement runs
 /// through `ctx` — panic-isolated, retried, optionally journaled and
 /// fault-injected. A cell that fails every attempt is reported in the
-/// context's [`RecoveryStats`] and measured as [`FAILED_CELL_IPT`]
-/// (so it can never win a replacement decision) instead of aborting
-/// the run.
+/// context's [`RecoveryStats`](xps_explore::RecoveryStats) and
+/// measured as [`FAILED_CELL_IPT`] (so it can never win a replacement
+/// decision) instead of aborting the run.
 ///
 /// # Errors
 ///
@@ -390,7 +374,7 @@ impl Pipeline {
         Ok(PipelineResult {
             cores,
             matrix,
-            stats: PipelineStats {
+            stats: ExploreStats {
                 workers: resolve_jobs(self.explore.jobs),
                 per_worker_tasks,
                 cache: cache.counters(),

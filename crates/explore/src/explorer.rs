@@ -71,15 +71,16 @@ impl ExploreOptions {
     }
 }
 
-/// Execution counters of one exploration: how the work spread over the
-/// pool and how often the evaluation cache short-circuited a
-/// simulation. Purely informational — the explored cores do not depend
-/// on any of it.
+/// Execution counters of one exploration or measured pipeline run: how
+/// the work spread over the pool, how often the evaluation cache
+/// short-circuited a simulation, and what crash recovery did. Purely
+/// informational — the results do not depend on any of it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExploreStats {
     /// Worker threads the fan-outs ran on.
     pub workers: usize,
-    /// Tasks (anneals or cross evaluations) completed per worker.
+    /// Tasks (anneals, cross evaluations or matrix groups) completed
+    /// per worker.
     pub per_worker_tasks: Vec<u64>,
     /// Evaluation-cache hit/miss counters.
     pub cache: CacheCounters,

@@ -4,7 +4,7 @@
 //! anneals, hundreds of cross-matrix cells, replacement-pass
 //! re-measurements. The journal is a write-ahead record of every
 //! *completed* task result: as each task finishes, its result is
-//! serialized, checksummed, and persisted, so an interrupt (SIGKILL,
+//! serialized, checksummed, and appended, so an interrupt (SIGKILL,
 //! OOM, power loss) costs at most the tasks that were in flight.
 //! Because the engine is deterministic, replaying the journal and
 //! re-running only the missing tasks reproduces the uninterrupted run
@@ -12,22 +12,30 @@
 //!
 //! Two properties make it crash-safe rather than merely convenient:
 //!
-//! * **Atomic persistence** — every write goes to a temp file in the
-//!   same directory which is then renamed over the journal, so the
-//!   on-disk file is always a complete, parseable snapshot; a torn
-//!   write can never be observed.
+//! * **Append-only lines** — each record is one line, appended with a
+//!   single write; `record` returns only once its newline is written.
+//!   A crash mid-append can therefore leave only a final segment with
+//!   no newline, which [`Journal::open`] drops (truncating the file
+//!   back to the last newline, so the next append starts on a clean
+//!   line). After a failed append the journal refuses all later ones,
+//!   so torn bytes can only ever be the tail.
 //! * **Per-record checksums** — each line carries an FNV-1a checksum
 //!   of its task key and payload; a flipped bit or hand-edited record
-//!   surfaces as a typed [`JournalError::Checksum`] instead of
-//!   silently steering a resumed run.
+//!   on any complete line surfaces as a typed
+//!   [`JournalError::Checksum`] instead of silently steering a resumed
+//!   run.
 //!
-//! The format is JSON lines (one record per line, sorted by task key),
-//! human-inspectable with standard tools.
+//! The format is JSON lines (one record per line, in completion
+//! order; a later line for a task replaces an earlier one),
+//! human-inspectable with standard tools. [`parse_journal`] is the one
+//! reader of that format: `open` and the offline artifact checker both
+//! call it, so they accept exactly the same files.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -117,7 +125,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// One persisted record: a task key, its serialized result, and a
+/// One journal line: a task key, its serialized result, and a
 /// checksum over both. The checksum is stored as fixed-width hex so
 /// records remain valid JSON for any value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -134,59 +142,134 @@ fn record_crc(task: &str, value: &str) -> String {
     )
 }
 
+/// The contents of a journal file, as [`parse_journal`] reads them.
+#[derive(Debug)]
+pub struct ParsedJournal {
+    /// Each task's serialized result; a later line for a task replaces
+    /// an earlier one.
+    pub records: BTreeMap<String, String>,
+    /// Bytes up to and including the last newline. Anything past it is
+    /// a torn final append, which is dropped.
+    pub clean_len: usize,
+}
+
+/// Read journal bytes: every complete (newline-terminated) line must
+/// be a checksummed record or blank; a final segment with no newline
+/// is a torn append and is ignored. Pure — `path` only labels errors.
+///
+/// # Errors
+///
+/// [`JournalError::Corrupt`] for a complete line that is not UTF-8 or
+/// not a record, [`JournalError::Checksum`] for one whose checksum does
+/// not match; both name the 1-based line.
+pub fn parse_journal(path: &Path, bytes: &[u8]) -> Result<ParsedJournal, JournalError> {
+    let clean_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut records = BTreeMap::new();
+    for (i, line) in bytes[..clean_len].split(|&b| b == b'\n').enumerate() {
+        let corrupt = |detail: String| JournalError::Corrupt {
+            path: path.to_path_buf(),
+            line: i + 1,
+            detail,
+        };
+        let line = std::str::from_utf8(line).map_err(|e| corrupt(e.to_string()))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let rec: Record = serde_json::from_str(line).map_err(|e| corrupt(e.to_string()))?;
+        if rec.crc != record_crc(&rec.task, &rec.value) {
+            return Err(JournalError::Checksum {
+                task: rec.task,
+                line: i + 1,
+            });
+        }
+        records.insert(rec.task, rec.value);
+    }
+    Ok(ParsedJournal { records, clean_len })
+}
+
 /// The write-ahead journal of one exploration run.
 ///
 /// Thread-safe: workers record completed tasks concurrently; each
-/// record is persisted (atomically) before `record` returns, so a
-/// crash immediately afterwards still finds it on resume.
+/// record's line is appended before `record` returns, so a crash
+/// immediately afterwards still finds it on resume.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    inner: Mutex<BTreeMap<String, Record>>,
+    inner: Mutex<Appender>,
     loaded: usize,
 }
 
+/// The journal's mutable state, behind its one mutex.
+#[derive(Debug)]
+struct Appender {
+    records: BTreeMap<String, String>,
+    file: File,
+    /// Set by a failed append: a later line could follow torn bytes, so
+    /// no more are written.
+    failed: bool,
+}
+
 impl Journal {
-    /// Start a fresh journal at `path`, discarding any existing file.
+    /// Open `path` for appending, cut to its first `len` bytes, with
+    /// `records` already in memory.
+    fn at(
+        path: PathBuf,
+        records: BTreeMap<String, String>,
+        len: u64,
+    ) -> Result<Journal, JournalError> {
+        let io_err = |op, source| JournalError::Io {
+            path: path.clone(),
+            op,
+            source,
+        };
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| io_err("create dir", e))?;
+        }
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| io_err("open", e))?;
+        file.set_len(len).map_err(|e| io_err("truncate", e))?;
+        let loaded = records.len();
+        Ok(Journal {
+            path,
+            inner: Mutex::new(Appender {
+                records,
+                file,
+                failed: false,
+            }),
+            loaded,
+        })
+    }
+
+    /// Start a fresh journal at `path`, discarding any existing
+    /// contents.
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::Io`] when the old file cannot be
-    /// removed.
+    /// Returns [`JournalError::Io`] when the file cannot be opened or
+    /// emptied.
     pub fn create(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
-        let path = path.into();
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(source) => {
-                return Err(JournalError::Io {
-                    path,
-                    op: "remove",
-                    source,
-                })
-            }
-        }
-        Ok(Journal {
-            path,
-            inner: Mutex::new(BTreeMap::new()),
-            loaded: 0,
-        })
+        Journal::at(path.into(), BTreeMap::new(), 0)
     }
 
     /// Open the journal at `path` for a resumed run, replaying every
     /// record already on disk. A missing file is an empty journal, not
     /// an error (resume of a run that died before its first record).
+    /// A torn final append is dropped and cut from the file.
     ///
     /// # Errors
     ///
     /// Returns [`JournalError::Corrupt`] / [`JournalError::Checksum`]
-    /// when a record cannot be trusted — resuming from a damaged
-    /// journal would silently diverge, so this is fatal by design.
+    /// when a complete record cannot be trusted — resuming from a
+    /// damaged journal would silently diverge, so this is fatal by
+    /// design.
     pub fn open(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
         let path = path.into();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(source) => {
                 return Err(JournalError::Io {
                     path,
@@ -195,30 +278,8 @@ impl Journal {
                 })
             }
         };
-        let mut records = BTreeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: Record = serde_json::from_str(line).map_err(|e| JournalError::Corrupt {
-                path: path.clone(),
-                line: i + 1,
-                detail: e.to_string(),
-            })?;
-            if rec.crc != record_crc(&rec.task, &rec.value) {
-                return Err(JournalError::Checksum {
-                    task: rec.task,
-                    line: i + 1,
-                });
-            }
-            records.insert(rec.task.clone(), rec);
-        }
-        let loaded = records.len();
-        Ok(Journal {
-            path,
-            inner: Mutex::new(records),
-            loaded,
-        })
+        let parsed = parse_journal(&path, &bytes)?;
+        Journal::at(path, parsed.records, parsed.clean_len as u64)
     }
 
     /// The serialized result of `task`, when a previous (or the
@@ -227,39 +288,39 @@ impl Journal {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .records
             .get(task)
-            .map(|r| r.value.clone())
+            .cloned()
     }
 
-    /// Record a completed task and persist the journal atomically
-    /// before returning.
+    /// Record a completed task: append its checksummed line before
+    /// returning.
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::Io`] when the snapshot cannot be
-    /// written; the in-memory record is kept either way, so a later
-    /// record may still persist it.
+    /// Returns [`JournalError::Io`] when the append fails, and for
+    /// every record after a failed append (the file may end in a torn
+    /// line). The in-memory record is kept either way.
     pub fn record(&self, task: &str, value: String) -> Result<(), JournalError> {
         let rec = Record {
             task: task.to_string(),
             crc: record_crc(task, &value),
             value,
         };
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.insert(rec.task.clone(), rec);
-        self.persist(&inner)
-    }
-
-    fn persist(&self, records: &BTreeMap<String, Record>) -> Result<(), JournalError> {
-        let mut out = String::new();
-        for rec in records.values() {
-            // xps-allow(no-unwrap-in-lib): a Record is three plain strings; serializing it cannot fail
-            out.push_str(&serde_json::to_string(rec).expect("journal records serialize"));
-            out.push('\n');
-        }
-        write_atomic(&self.path, &out).map_err(|source| JournalError::Io {
+        // xps-allow(no-unwrap-in-lib): a Record is three plain strings; serializing it cannot fail
+        let mut line = serde_json::to_string(&rec).expect("journal records serialize");
+        line.push('\n');
+        let mut appender = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let written = if appender.failed {
+            Err(io::Error::other("an earlier append failed"))
+        } else {
+            appender.file.write_all(line.as_bytes())
+        };
+        appender.failed |= written.is_err();
+        appender.records.insert(rec.task, rec.value);
+        written.map_err(|source| JournalError::Io {
             path: self.path.clone(),
-            op: "write",
+            op: "append",
             source,
         })
     }
@@ -269,6 +330,7 @@ impl Journal {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .records
             .len()
     }
 
@@ -337,15 +399,41 @@ mod tests {
     #[test]
     fn writes_are_atomic_no_temp_residue() {
         let path = tmp("atomic");
-        let j = Journal::create(&path).expect("create");
-        j.record("t#0/0", "1".into()).expect("record");
+        write_atomic(&path, "first\n").expect("write");
+        write_atomic(&path, "second\n").expect("overwrite");
         let mut tmp_name = path.as_os_str().to_owned();
         tmp_name.push(".tmp");
         assert!(
             !PathBuf::from(tmp_name).exists(),
             "temp file must be renamed away"
         );
-        assert!(path.exists());
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), "second\n");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_append_refuses_every_later_one() {
+        let path = tmp("refuse");
+        let j = Journal::create(&path).expect("create");
+        j.record("t#0/0", "1".into()).expect("record");
+        let swap = |file: File| j.inner.lock().expect("unpoisoned").file = file;
+        // A read-only handle on the same regular file: the append fails.
+        swap(File::open(&path).expect("read-only handle"));
+        assert!(matches!(
+            j.record("t#0/1", "2".into()),
+            Err(JournalError::Io { op: "append", .. })
+        ));
+        // Writable again, but the failed append may have left a torn
+        // line, so nothing more is written.
+        swap(
+            OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .expect("append handle"),
+        );
+        assert!(j.record("t#0/2", "3".into()).is_err());
+        assert_eq!(j.get("t#0/2").as_deref(), Some("3"), "kept in memory");
+        assert_eq!(Journal::open(&path).expect("reopen").loaded(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

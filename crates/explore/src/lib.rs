@@ -68,7 +68,7 @@ pub use error::{ExploreError, TaskError, TaskFailure};
 pub use explorer::{Campaign, CustomizedCore, ExplorationResult, ExploreOptions, ExploreStats};
 pub use fault::{FaultKind, FaultPlan};
 pub use grid::{grid_search, grid_search_with, GridResult, GridSpec};
-pub use journal::{fnv64, write_atomic, Journal, JournalError};
+pub use journal::{fnv64, parse_journal, write_atomic, Journal, JournalError, ParsedJournal};
 pub use parallel::{merge_counts, resolve_jobs, run_parallel, ParallelRun};
 pub use point::DesignPoint;
 pub use recovery::{FanOutcome, RecoveryStats, RunContext, DEFAULT_RETRIES};

@@ -233,7 +233,7 @@ impl RunContext {
     ///
     /// # Errors
     ///
-    /// Only journal problems (unreadable record, failed persist) abort
+    /// Only journal problems (unreadable record, failed append) abort
     /// the fan — task failures are per-item by design.
     pub fn run_fan<T, F>(
         &self,

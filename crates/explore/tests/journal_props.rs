@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xps_explore::{fnv64, Journal, JournalError};
+use xps_explore::{fnv64, parse_journal, Journal, JournalError};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -129,8 +129,11 @@ fn record_line(task: &str, value: &str) -> String {
     format!(r#"{{"task":"{task}","crc":"{crc}","value":"{value}"}}"#)
 }
 
+/// The journal is append-only, so a crash mid-append leaves a final
+/// line with no newline. Reopening drops it, cuts it from the file,
+/// and the next append starts on a clean line.
 #[test]
-fn truncated_final_record_is_detected_with_its_line_number() {
+fn truncated_final_record_is_dropped_and_the_next_append_is_clean() {
     let path = tmp("cut-final");
     let journal = Journal::create(&path).expect("create");
     for i in 0..3 {
@@ -141,12 +144,45 @@ fn truncated_final_record_is_detected_with_its_line_number() {
     drop(journal);
     let bytes = std::fs::read(&path).expect("read");
     // Chop into the middle of the last record (newline plus a few
-    // payload bytes), as an interrupted non-atomic write would.
+    // payload bytes), as an interrupted append would.
     std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
-    match Journal::open(&path) {
-        Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 3, "blames the cut record"),
-        other => panic!("expected Corrupt at line 3, got {other:?}"),
+    let back = Journal::open(&path).expect("a torn tail reopens");
+    assert_eq!(back.loaded(), 2, "the clean prefix loads");
+    assert_eq!(back.get("cell#0/2"), None, "the torn record re-executes");
+    back.record("cell#0/2", "2.5".into()).expect("append");
+    drop(back);
+    let again = Journal::open(&path).expect("reopen after the append");
+    assert_eq!(again.loaded(), 3, "every record loads");
+    for i in 0..3 {
+        let value = format!("{i}.5");
+        assert_eq!(again.get(&format!("cell#0/{i}")), Some(value));
     }
+    assert_eq!(
+        std::fs::read(&path).expect("read"),
+        bytes,
+        "no torn bytes remain"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Only a segment with no newline is torn: a complete last line with a
+/// bad checksum is still an error, while the same bytes cut before
+/// their newline are a dropped tail.
+#[test]
+fn bad_checksum_on_a_complete_last_line_is_still_an_error() {
+    let path = tmp("bad-crc-last");
+    let good = record_line("anneal#0/0", "1.25");
+    let tampered = record_line("anneal#0/1", "2.5").replace("2.5", "2.6");
+    std::fs::write(&path, format!("{good}\n{tampered}\n")).expect("write");
+    match Journal::open(&path) {
+        Err(JournalError::Checksum { task, line }) => {
+            assert_eq!(task, "anneal#0/1");
+            assert_eq!(line, 2);
+        }
+        other => panic!("expected Checksum at line 2, got {other:?}"),
+    }
+    std::fs::write(&path, format!("{good}\n{tampered}")).expect("write");
+    assert_eq!(Journal::open(&path).expect("torn tail").loaded(), 1);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -221,4 +257,69 @@ fn corrupted_checksum_is_rejected_by_task_and_line() {
         other => panic!("expected Checksum at line 2, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input. `parse_journal` is the one reader of the format (the
+// journal's `open` and the artifact checker both call it), so it must
+// turn any bytes into records or a typed error, never a panic.
+
+/// Bytes the format is built from, so random draws reach the parser's
+/// deeper branches (braces, quotes, keys, hex, newlines, a stray
+/// non-UTF-8 byte).
+const ALPHABET: &[u8] = b"{}[]\":,\\\n task crc value 0123456789abcdef.#/-\xff\xc3";
+
+/// Arbitrary bytes: each drawn from the whole byte range or the
+/// format's alphabet.
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (0usize..200).prop_flat_map(|n| {
+        vec(
+            (any::<u8>(), select(ALPHABET.to_vec()), any::<bool>()).prop_map(|(b, a, wide)| {
+                if wide {
+                    b
+                } else {
+                    a
+                }
+            }),
+            n,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn parse_journal_never_panics_on_arbitrary_bytes(bytes in arb_bytes()) {
+        let path = PathBuf::from("fuzz.jsonl");
+        match parse_journal(&path, &bytes) {
+            Ok(parsed) => {
+                prop_assert!(parsed.clean_len <= bytes.len());
+                prop_assert!(parsed.clean_len == 0 || bytes[parsed.clean_len - 1] == b'\n');
+            }
+            Err(e) => prop_assert!(!matches!(e, JournalError::Io { .. }), "{}", e),
+        }
+    }
+
+    #[test]
+    fn parse_journal_never_panics_on_a_mutated_journal(
+        at in 0usize..1_000,
+        byte in any::<u8>(),
+        cut in 0usize..1_000,
+    ) {
+        let mut bytes = format!(
+            "{}\n{}\n{}\n",
+            record_line("anneal#0/0", "1.25"),
+            record_line("seed#1/3", "[0.5,2.0]"),
+            record_line("matrix#2/0", "3.75"),
+        )
+        .into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        bytes.truncate(bytes.len() - cut % bytes.len());
+        let path = PathBuf::from("fuzz.jsonl");
+        if let Ok(parsed) = parse_journal(&path, &bytes) {
+            prop_assert!(parsed.records.len() <= 3);
+        }
+    }
 }

@@ -857,4 +857,30 @@ mod tests {
             "a bad shape is retried like a garbled body"
         );
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// A worker's response body is untrusted bytes: opening any
+        /// mutation of a real envelope, or plain garbage, gives the
+        /// body only when its checksum holds, and never panics.
+        #[test]
+        fn open_envelope_never_panics_on_hostile_bytes(
+            at in 0usize..1_000,
+            byte in proptest::arbitrary::any::<u8>(),
+            cut in 0usize..1_000,
+            garbage in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 48),
+        ) {
+            let body = r#"{"ipt":[0.5,1.25],"note":"q\"uote"}"#;
+            let mut env = task_envelope(body).into_bytes();
+            let at = at % env.len();
+            env[at] = byte;
+            env.truncate(env.len() - cut % (env.len() + 1));
+            for bytes in [env, garbage] {
+                if let Ok(got) = open_envelope(&String::from_utf8_lossy(&bytes)) {
+                    proptest::prop_assert_eq!(got, body);
+                }
+            }
+        }
+    }
 }

@@ -49,7 +49,7 @@ pub use fleet::{
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_US};
 pub use netfault::{NetFault, NetFaultPlan};
 pub use server::{install_signal_handlers, Server, ServerConfig, ShutdownHandle};
-pub use store::{body_checksum, content_id, ResultStore};
+pub use store::{body_checksum, content_id, decode_record, ResultStore};
 pub use transport::{FlakyTransport, TcpTransport, Transport};
 
 /// Render a JSON value the daemon built itself. Infallible by

@@ -11,9 +11,10 @@
 //! a header line carrying the id and a checksum of the body, then the
 //! body verbatim. Writes go through a temp file + rename
 //! ([`write_atomic`]), so a crash mid-write leaves either the old
-//! record or none — never a torn one. Reads verify the checksum and
-//! reject tampered or truncated records with an error that names the
-//! file.
+//! record or none — never a torn one. [`decode_record`] is the one
+//! reader of that format: [`ResultStore::get`] and the offline
+//! artifact checker (`xps-analyze data`) both call it, so a tampered,
+//! truncated or mislabeled record is rejected the same way by both.
 
 use crate::error::ServeError;
 use std::path::{Path, PathBuf};
@@ -30,11 +31,41 @@ pub fn content_id(canonical: &str) -> String {
     format!("{:016x}", fnv64(ID_SEED, canonical.as_bytes()))
 }
 
-/// Checksum a record body the way [`ResultStore::put`] does, as
-/// 16-hex digits. Exported so offline validators (`xps-analyze data`)
-/// can verify store records without knowing the private seed.
-pub fn body_checksum(body: &str) -> String {
-    format!("{:016x}", fnv64(SUM_SEED, body.as_bytes()))
+/// Checksum a record body, as 16 hex digits: the header checksum of a
+/// store record and the `sum` of a fleet wire envelope.
+pub fn body_checksum(body: impl AsRef<[u8]>) -> String {
+    format!("{:016x}", fnv64(SUM_SEED, body.as_ref()))
+}
+
+/// Decode a store record filed under `id`: `<id> <checksum>\n<body>`.
+/// Returns the body when the header names `id` and the body matches
+/// its checksum. Pure, so any bytes give a body or a reason.
+///
+/// # Errors
+///
+/// What is wrong with the record: no header line, a malformed header,
+/// another id, a checksum mismatch, or a body that is not UTF-8.
+pub fn decode_record<'a>(id: &str, raw: &'a [u8]) -> Result<&'a str, String> {
+    let at = raw
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| "missing header line".to_string())?;
+    let (header, body) = (String::from_utf8_lossy(&raw[..at]), &raw[at + 1..]);
+    let (stored_id, stored_sum) = header
+        .split_once(' ')
+        .ok_or_else(|| format!("malformed header `{header}`"))?;
+    if stored_id != id {
+        return Err(format!(
+            "record is addressed `{stored_id}`, expected `{id}`"
+        ));
+    }
+    let sum = body_checksum(body);
+    if sum != stored_sum {
+        return Err(format!(
+            "checksum mismatch: header says {stored_sum}, body hashes to {sum}"
+        ));
+    }
+    std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))
 }
 
 /// A directory of checksummed, content-addressed result records.
@@ -67,8 +98,7 @@ impl ResultStore {
     ///
     /// [`ServeError::Io`] when the write fails.
     pub fn put(&self, id: &str, body: &str) -> Result<(), ServeError> {
-        let sum = fnv64(SUM_SEED, body.as_bytes());
-        let record = format!("{id} {sum:016x}\n{body}");
+        let record = format!("{id} {}\n{body}", body_checksum(body));
         write_atomic(&self.path_of(id), &record)?;
         Ok(())
     }
@@ -83,33 +113,15 @@ impl ResultStore {
     /// [`ServeError::Io`] on read failure.
     pub fn get(&self, id: &str) -> Result<Option<String>, ServeError> {
         let path = self.path_of(id);
-        let raw = match std::fs::read_to_string(&path) {
+        let raw = match std::fs::read(&path) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let corrupt = |detail: String| ServeError::StoreCorrupt {
-            path: path.clone(),
-            detail,
-        };
-        let (header, body) = raw
-            .split_once('\n')
-            .ok_or_else(|| corrupt("missing header line".into()))?;
-        let (stored_id, stored_sum) = header
-            .split_once(' ')
-            .ok_or_else(|| corrupt(format!("malformed header `{header}`")))?;
-        if stored_id != id {
-            return Err(corrupt(format!(
-                "record is addressed `{stored_id}`, expected `{id}`"
-            )));
+        match decode_record(id, &raw) {
+            Ok(body) => Ok(Some(body.to_string())),
+            Err(detail) => Err(ServeError::StoreCorrupt { path, detail }),
         }
-        let sum = fnv64(SUM_SEED, body.as_bytes());
-        if format!("{sum:016x}") != stored_sum {
-            return Err(corrupt(format!(
-                "checksum mismatch: header says {stored_sum}, body hashes to {sum:016x}"
-            )));
-        }
-        Ok(Some(body.to_string()))
     }
 
     /// Number of records on disk.

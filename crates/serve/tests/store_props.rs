@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xps_serve::{content_id, ResultStore};
+use xps_serve::{body_checksum, content_id, decode_record, ResultStore};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -128,5 +128,53 @@ proptest! {
             prop_assert!(msg.contains(&format!("{id}.json")), "names the file: {}", msg);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Bytes a store record is built from, so random draws reach the
+/// decoder's deeper branches (header space and newline, hex digits,
+/// a stray non-UTF-8 byte).
+const ALPHABET: &[u8] = b" \n0123456789abcdef{}\"\xff\xc3";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `decode_record` is the one reader of the record format (the
+    /// store's `get` and the artifact checker both call it): any bytes
+    /// give a body or a reason, never a panic, and a body comes back
+    /// only under a header that names the id and checksums the body.
+    #[test]
+    fn decode_record_never_panics_on_arbitrary_bytes(
+        n in 0usize..160,
+        raw in vec(any::<u8>(), 160),
+        picks in vec(0usize..ALPHABET.len(), 160),
+        wide in vec(any::<bool>(), 160),
+        id in select(vec!["", "0123456789abcdef", " "]),
+    ) {
+        let bytes: Vec<u8> = (0..n)
+            .map(|i| if wide[i] { raw[i] } else { ALPHABET[picks[i]] })
+            .collect();
+        if let Ok(body) = decode_record(id, &bytes) {
+            let header = format!("{id} {}\n", body_checksum(body));
+            prop_assert_eq!(bytes, format!("{header}{body}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn decode_record_never_panics_on_a_mutated_record(
+        fragments in vec(arb_fragment(), 3),
+        at in 0usize..1_000,
+        byte in any::<u8>(),
+        cut in 0usize..1_000,
+    ) {
+        let body = fragments.join("|");
+        let id = content_id(&body);
+        let mut raw = format!("{id} {}\n{body}", body_checksum(&body)).into_bytes();
+        let at = at % raw.len();
+        raw[at] = byte;
+        raw.truncate(raw.len() - cut % (raw.len() + 1));
+        if let Ok(got) = decode_record(&id, &raw) {
+            prop_assert_eq!(got.len() + 34, raw.len());
+        }
     }
 }
