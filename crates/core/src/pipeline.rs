@@ -10,7 +10,7 @@ use std::ops::Range;
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
     merge_counts, resolve_jobs, Campaign, CustomizedCore, EvalCache, ExploreOptions, ExploreStats,
-    RunContext,
+    RunContext, TaskSpec,
 };
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
@@ -171,31 +171,15 @@ pub fn cross_matrix_recoverable(
     let n = profiles.len();
     // The unit of work is a group task `(w, cols)`: workload `w` on
     // the run of configurations `cols`, simulated in lock step over one
-    // produced trace (bit-identical to one evaluation per cell). Its
-    // wire description is pure (profile, configs, ops), so a
-    // dispatched group is bit-identical to the local measurement.
+    // produced trace (bit-identical to one evaluation per cell), as
+    // the eval spec of `(profile, configs, ops)` that a fleet worker
+    // may run instead.
     let run_groups = |label: &str, configs: &[CoreConfig], tasks: &[(usize, Range<usize>)]| {
-        ctx.run_fan_tasks(
-            jobs,
-            label,
-            tasks.len(),
-            |t| {
-                let (w, cols) = &tasks[t];
-                let group = &configs[cols.clone()];
-                Some(xps_explore::TaskSpec::eval(&profiles[*w], group, ops))
-            },
-            |t| {
-                let (w, cols) = &tasks[t];
-                let group = &configs[cols.clone()];
-                match cache {
-                    Some(cache) => cache.ipt_group(&profiles[*w], group, ops),
-                    None => xps_sim::evaluate_group(&profiles[*w], group, ops)
-                        .iter()
-                        .map(xps_sim::SimStats::ipt)
-                        .collect(),
-                }
-            },
-        )
+        let specs: Vec<TaskSpec> = tasks
+            .iter()
+            .map(|(w, cols)| TaskSpec::eval(&profiles[*w], &configs[cols.clone()], ops))
+            .collect();
+        ctx.run_fan_tasks(jobs, label, &specs, cache)
     };
     let mut per_worker_tasks = Vec::new();
     let mut ipt = vec![vec![0.0f64; n]; n];

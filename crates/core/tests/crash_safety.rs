@@ -268,9 +268,9 @@ fn single_cell_eval_journal_fails_to_resume_as_corrupt() {
     drop(ctx.take_journal());
     let text = std::fs::read_to_string(&path).expect("journal readable");
     // Every eval fan in the old form fails at the first cross-seeding
-    // record; with only the matrix in the old form, the seed fans
+    // record; with only the matrix in the old form, the cross fans
     // resume and the matrix fan fails.
-    for labels in [&["seed#", "matrix#", "rematrix#"][..], &["matrix#"][..]] {
+    for labels in [&["cross#", "matrix#", "rematrix#"][..], &["matrix#"][..]] {
         std::fs::write(&path, as_single_cell_journal(&text, labels)).expect("rewrite");
         let ctx = RunContext::new().with_journal(Journal::open(&path).expect("checksums hold"));
         match mini(2).run_recoverable(&p, &ctx) {
@@ -324,5 +324,81 @@ fn truncated_group_record_fails_to_resume_as_corrupt() {
         }))) => assert!(detail.contains(&victim), "names the task: {detail}"),
         other => panic!("resumed a truncated group as {:?}", other.map(|r| r.matrix)),
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A journal written when the cross-seeding fan was labelled `seed`
+/// and held one item per workload (`seed#f/j`, the diagonal `j == i`
+/// a `null`). Under the `cross` label the fan holds only the foreign
+/// cells, so the old keys would number them differently. The doctored
+/// records below carry IPTs that would force an adoption if merged,
+/// and the diagonal `null`s are missing, as in a torn run: the
+/// resumed campaign must re-run every cross cell and match a clean
+/// run byte for byte.
+#[test]
+fn parent_seed_records_are_rerun_not_merged() {
+    let p = profiles();
+    let path = tmp("seed-label");
+    let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
+    let clean = mini(2).run_recoverable(&p, &ctx).expect("journaled run");
+    drop(ctx.take_journal());
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let records: Vec<Record> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("journal record"))
+        .collect();
+    // The k-th cross fan (by fan number) evaluated workload k mod n.
+    let fan_of = |task: &str| -> u64 {
+        let fan = task.split(['#', '/']).nth(1).expect("fan number");
+        fan.parse().expect("numeric fan")
+    };
+    let mut cross_fans: Vec<u64> = records
+        .iter()
+        .filter(|r| r.task.starts_with("cross#"))
+        .map(|r| fan_of(&r.task))
+        .collect();
+    cross_fans.sort_unstable();
+    cross_fans.dedup();
+    assert!(!cross_fans.is_empty(), "the run cross-seeded");
+    let mut doctored = String::new();
+    for r in &records {
+        let (task, value) = match r.task.strip_prefix("cross#") {
+            Some(rest) => {
+                let f = fan_of(&r.task);
+                let i = cross_fans
+                    .iter()
+                    .position(|&x| x == f)
+                    .expect("a cross fan")
+                    % p.len();
+                let k: usize = rest
+                    .split('/')
+                    .nth(1)
+                    .expect("item")
+                    .parse()
+                    .expect("index");
+                let j = if k < i { k } else { k + 1 };
+                (format!("seed#{f}/{j}"), "[1000000.0]".to_string())
+            }
+            None => (r.task.clone(), r.value.clone()),
+        };
+        let crc = format!(
+            "{:016x}",
+            fnv64(fnv64(0, task.as_bytes()), value.as_bytes())
+        );
+        doctored
+            .push_str(&serde_json::to_string(&Record { task, crc, value }).expect("serializes"));
+        doctored.push('\n');
+    }
+    std::fs::write(&path, doctored).expect("rewrite");
+    let ctx = RunContext::new().with_journal(Journal::open(&path).expect("checksums hold"));
+    let resumed = mini(2).run_recoverable(&p, &ctx).expect("resumes");
+    let rec = ctx.stats();
+    assert!(rec.salvaged > 0, "the other fans resume");
+    assert!(rec.executed > 0, "the cross cells re-run");
+    assert_eq!(
+        deliverable(&resumed),
+        deliverable(&clean),
+        "old seed records must not merge"
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -1,12 +1,13 @@
 //! The full §4 methodology: per-workload annealing plus
 //! cross-configuration seeding across workloads.
 
-use crate::anneal::{anneal_with, AnnealOptions, AnnealResult};
+use crate::anneal::{AnnealOptions, AnnealResult};
 use crate::cache::{CacheCounters, EvalCache};
 use crate::error::{ExploreError, TaskError};
 use crate::parallel::{merge_counts, resolve_jobs};
 use crate::point::DesignPoint;
 use crate::recovery::{RecoveryStats, RunContext};
+use crate::task::TaskSpec;
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
@@ -244,29 +245,18 @@ impl Campaign {
         // own RNG from (opts.seed ^ start index, profile seed), so the
         // walks are identical no matter which worker runs them.
         let anneal_phase = xps_trace::span("explore.anneal");
-        let fan = ctx.run_fan_tasks(
-            self.opts.jobs,
-            "anneal",
-            profiles.len() * starts.len(),
-            |t| {
-                // The wire description of this walk: same profile,
-                // start, options (with the multi-start seed mixed in),
-                // and technology the local closure below uses, so a
-                // dispatched anneal is bit-identical.
-                let (p, i) = (&profiles[t / starts.len()], t % starts.len());
-                let mut opts = self.opts.anneal.clone();
-                opts.seed ^= (i as u64) << 32;
-                Some(crate::task::TaskSpec::anneal(
-                    p, &starts[i], &opts, &self.tech,
-                ))
-            },
-            |t| {
-                let (p, i) = (&profiles[t / starts.len()], t % starts.len());
-                let mut opts = self.opts.anneal.clone();
-                opts.seed ^= (i as u64) << 32;
-                anneal_with(p, &starts[i], &opts, &self.tech, Some(cache))
-            },
-        )?;
+        let specs: Vec<TaskSpec> = profiles
+            .iter()
+            .flat_map(|p| {
+                starts.iter().enumerate().map(move |(i, start)| {
+                    let mut opts = self.opts.anneal.clone();
+                    opts.seed ^= (i as u64) << 32;
+                    TaskSpec::anneal(p, start, &opts, &self.tech)
+                })
+            })
+            .collect();
+        let fan =
+            ctx.run_fan_tasks::<AnnealResult>(self.opts.jobs, "anneal", &specs, Some(cache))?;
         anneal_phase.end_with(|| xps_trace::attr("tasks", profiles.len() * starts.len()));
         merge_counts(&mut per_worker_tasks, &fan.per_worker);
         // Keep each workload's best start; `>=` keeps the *last* of
@@ -308,44 +298,28 @@ impl Campaign {
             let mut improved = false;
             for i in 0..profiles.len() {
                 // Evaluate workload i on every other best config, in
-                // parallel. Configurations adopted earlier in this
-                // round are visible here, exactly as in a serial sweep.
-                let cross = ctx.run_fan_tasks(
-                    self.opts.jobs,
-                    "seed",
-                    results.len(),
-                    |j| {
-                        // The diagonal (i == j) is a constant `None`
-                        // cell — nothing to run remotely. Every other
-                        // item is an eval group of one, and the local
-                        // closure answers with the same cache call a
-                        // worker makes, so a worker's `[ipt]` response
-                        // deserializes into the identical
-                        // `Some(vec![ipt])`.
-                        (i != j).then(|| {
-                            crate::task::TaskSpec::eval(
-                                &profiles[i],
-                                std::slice::from_ref(&results[j].config),
-                                self.opts.anneal.eval_ops_late,
-                            )
-                        })
-                    },
-                    |j| {
-                        (i != j).then(|| {
-                            cache.ipt_group(
-                                &profiles[i],
-                                std::slice::from_ref(&results[j].config),
-                                self.opts.anneal.eval_ops_late,
-                            )
-                        })
-                    },
-                )?;
+                // parallel: one eval group of one per foreign workload.
+                // Configurations adopted earlier in this round are
+                // visible here, exactly as in a serial sweep.
+                let foreign: Vec<usize> = (0..results.len()).filter(|&j| j != i).collect();
+                let specs: Vec<TaskSpec> = foreign
+                    .iter()
+                    .map(|&j| {
+                        TaskSpec::eval(
+                            &profiles[i],
+                            std::slice::from_ref(&results[j].config),
+                            self.opts.anneal.eval_ops_late,
+                        )
+                    })
+                    .collect();
+                let cross =
+                    ctx.run_fan_tasks::<Vec<f64>>(self.opts.jobs, "cross", &specs, Some(cache))?;
                 merge_counts(&mut per_worker_tasks, &cross.per_worker);
                 let mut best_foreign: Option<(usize, f64)> = None;
-                for (j, item) in cross.items.into_iter().enumerate() {
+                for (&j, item) in foreign.iter().zip(cross.items) {
                     // A permanently failed evaluation skips candidate
                     // j — degraded, and recorded in the stats.
-                    let Ok(Some(&[ipt])) = item.as_ref().map(|v| v.as_deref()) else {
+                    let Ok(&[ipt]) = item.as_deref() else {
                         continue;
                     };
                     if ipt > results[i].ipt && best_foreign.map(|(_, b)| ipt > b).unwrap_or(true) {
@@ -356,20 +330,16 @@ impl Campaign {
                     // Adopt the foreign point and re-anneal briefly
                     // from it to specialize further. A failed re-anneal
                     // keeps workload i's own configuration.
-                    let seed_point = results[j].point.clone();
                     let mut re_opts = self.opts.anneal.clone();
                     re_opts.iterations = self.opts.reanneal_iterations;
                     re_opts.early_fraction = 0.0;
-                    let respec = crate::task::TaskSpec::anneal(
-                        &profiles[i],
-                        &seed_point,
-                        &re_opts,
-                        &self.tech,
-                    );
-                    let reanneal = ctx.run_task_described("reanneal", respec, || {
-                        anneal_with(&profiles[i], &seed_point, &re_opts, &self.tech, Some(cache))
-                    })?;
-                    if let Ok(r) = reanneal {
+                    let respec =
+                        TaskSpec::anneal(&profiles[i], &results[j].point, &re_opts, &self.tech);
+                    let reanneal = ctx
+                        .run_fan_tasks::<AnnealResult>(1, "reanneal", &[respec], Some(cache))?
+                        .items
+                        .pop();
+                    if let Some(Ok(r)) = reanneal {
                         if r.ipt > results[i].ipt {
                             results[i] = r;
                             adoptions += 1;

@@ -1,26 +1,34 @@
 //! Panic-isolated, retrying, journaled task execution.
 //!
-//! [`RunContext`] wraps the raw worker pool of [`run_parallel`] with
-//! the three crash-safety behaviours the long-haul pipeline needs:
+//! [`RunContext`] runs fans of [`TaskSpec`]s over the raw worker pool
+//! of [`run_parallel`]. A spec is the one description of its task:
+//! the fan offers it to an attached [`TaskDispatcher`] and otherwise
+//! runs it here through [`TaskSpec::run`], the code a fleet worker
+//! runs. Whatever answered, the fan checks the one result string
+//! ([`TaskSpec::result_fits`]), decodes it into the caller's type and
+//! journals it as is. Around that sit the three crash-safety
+//! behaviours the long-haul pipeline needs:
 //!
-//! * **Panic isolation** — every task runs under `catch_unwind`, so a
-//!   panicking evaluation becomes a typed [`TaskError`] instead of
+//! * **Panic isolation** — every local run is under `catch_unwind`, so
+//!   a panicking evaluation becomes a typed [`TaskError`] instead of
 //!   tearing down the whole campaign.
-//! * **Bounded retries** — a failed attempt is retried up to the
-//!   context's retry budget before the task is declared failed; the
-//!   caller then degrades (skip the start, report the cell) rather
-//!   than aborting.
-//! * **Write-ahead journaling** — each completed task result is
-//!   persisted through the [`Journal`] before the fan-out returns it,
-//!   and journaled results are replayed instead of re-executed, which
-//!   is what makes `--resume` re-run only the missing work.
+//! * **Bounded retries** — a failed attempt (a panic, or a spec that
+//!   refuses to run) is retried up to the context's retry budget
+//!   before the task is declared failed; the caller then degrades
+//!   (skip the start, report the cell) rather than aborting.
+//! * **Write-ahead journaling** — each fresh result is persisted
+//!   through the [`Journal`] before the fan-out returns it, and
+//!   journaled results are replayed instead of re-executed, which is
+//!   what makes `--resume` re-run only the missing work.
 //!
 //! Task identity is `label#fan/item`: the fan sequence number is
 //! deterministic because the pipeline's control flow is a pure
 //! function of task results, which are themselves deterministic — so
 //! a resumed run asks for exactly the same keys in exactly the same
-//! order.
+//! order. A fan whose items change meaning takes a new label, so an
+//! old journal's records under the old label are re-run, never merged.
 
+use crate::cache::EvalCache;
 use crate::error::{ExploreError, TaskError, TaskFailure};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::journal::{Journal, JournalError};
@@ -166,12 +174,12 @@ impl RunContext {
         self
     }
 
-    /// Attach a task dispatcher: fan items that describe themselves as
-    /// a [`TaskSpec`] are offered to it before running locally. A
-    /// declined or undecodable dispatch falls back to the local
-    /// closure, so attaching a dispatcher never changes results — only
-    /// where tasks execute. Remote results skip local span recording
-    /// (their spans live on the worker) but journal identically.
+    /// Attach a task dispatcher: every fan item's [`TaskSpec`] is
+    /// offered to it before running locally. A declined or undecodable
+    /// dispatch falls back to [`TaskSpec::run`], so attaching a
+    /// dispatcher never changes results — only where tasks execute.
+    /// Remote results skip local span recording (their spans live on
+    /// the worker) but journal identically.
     pub fn with_dispatcher(mut self, dispatcher: Arc<dyn TaskDispatcher>) -> RunContext {
         self.dispatcher = Some(dispatcher);
         self
@@ -221,11 +229,19 @@ impl RunContext {
         }
     }
 
-    /// Evaluate tasks `f(0) … f(n-1)` on `jobs` workers with panic
-    /// isolation, retries, and journaling. Results come back in item
-    /// order; a task that failed every attempt yields `Err(TaskError)`
-    /// in its slot (and is listed in [`RecoveryStats::failed_tasks`])
-    /// so the caller can degrade instead of aborting.
+    /// Run the tasks `specs` on `jobs` workers with panic isolation,
+    /// retries, and journaling, and decode each result as a `T`.
+    /// Results come back in item order; a task that failed every
+    /// attempt yields `Err(TaskError)` in its slot (and is listed in
+    /// [`RecoveryStats::failed_tasks`]) so the caller can degrade
+    /// instead of aborting.
+    ///
+    /// Each item missing from the journal is first offered to the
+    /// attached dispatcher, if any; a decline or a body that is not the
+    /// spec's result runs the spec here instead, memoizing evaluations
+    /// in `cache` when one is given. Journaling, retries, and result
+    /// ordering are identical either way, which is what keeps a
+    /// fleet-gathered campaign byte-identical to a single-node run.
     ///
     /// `label` names the fan in the journal keyspace; each call gets a
     /// fresh fan sequence number, so keys are unique and reproducible
@@ -233,102 +249,56 @@ impl RunContext {
     ///
     /// # Errors
     ///
-    /// Only journal problems (unreadable record, failed append) abort
-    /// the fan — task failures are per-item by design.
-    pub fn run_fan<T, F>(
+    /// Only journal problems (a record that is not its task's result,
+    /// a failed append) abort the fan — task failures are per-item by
+    /// design.
+    pub fn run_fan_tasks<T>(
         &self,
         jobs: usize,
         label: &str,
-        n: usize,
-        f: F,
+        specs: &[TaskSpec],
+        cache: Option<&EvalCache>,
     ) -> Result<FanOutcome<T>, ExploreError>
     where
-        T: Send + Serialize + Deserialize,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_fan_tasks(jobs, label, n, |_| None, f)
-    }
-
-    /// [`run_fan`](RunContext::run_fan) for fans whose items can
-    /// describe themselves as wire-format [`TaskSpec`]s: when a
-    /// dispatcher is attached, each missing item is first offered to
-    /// it (`describe(i)` → [`TaskDispatcher::dispatch`]); a successful
-    /// dispatch's body is decoded as the item value, and any decline
-    /// or decode failure falls back to the local closure `f`. Without
-    /// a dispatcher — or when `describe` returns `None` — this is
-    /// exactly `run_fan`. Journaling, retries, and result ordering are
-    /// identical either way, which is what keeps a fleet-gathered
-    /// campaign byte-identical to a single-node run.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_fan_tasks<T, F, D>(
-        &self,
-        jobs: usize,
-        label: &str,
-        n: usize,
-        describe: D,
-        f: F,
-    ) -> Result<FanOutcome<T>, ExploreError>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn(usize) -> T + Sync,
-        D: Fn(usize) -> Option<TaskSpec> + Sync,
+        T: Send + Deserialize,
     {
         let fan = self.fan_seq.fetch_add(1, Ordering::Relaxed);
         let key_of = |i: usize| format!("{label}#{fan}/{i}");
-        let mut slots: Vec<Option<Result<T, TaskError>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut missing: Vec<usize> = Vec::with_capacity(n);
-        if let Some(journal) = &self.journal {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let key = key_of(i);
-                match journal.get(&key) {
-                    Some(json) => {
-                        let corrupt = |detail: String| JournalError::Corrupt {
-                            path: journal.path().to_path_buf(),
-                            line: 0,
-                            detail: format!("task `{key}` {detail}"),
-                        };
-                        let value: T = serde_json::from_str(&json)
-                            .map_err(|e| corrupt(format!("does not deserialize: {e}")))?;
-                        // The journal carries no run identity: a record
-                        // from other options or another partition can
-                        // deserialize yet be the wrong shape (an eval
-                        // group of another size), which must not merge.
-                        if describe(i).is_some_and(|spec| !spec.result_fits(&json)) {
-                            return Err(corrupt("is not its task's result shape".into()).into());
-                        }
-                        self.salvaged.fetch_add(1, Ordering::Relaxed);
-                        // Salvages happen serially on the caller
-                        // thread, so this instant lands on the edge
-                        // recorder in deterministic order.
-                        xps_trace::instant("journal.salvage", || {
-                            xps_trace::attr("task", key.as_str())
-                        });
-                        *slot = Some(Ok(value));
-                    }
-                    None => missing.push(i),
-                }
-            }
-        } else {
-            missing.extend(0..n);
+        let mut slots: Vec<Option<Result<T, TaskError>>> = Vec::with_capacity(specs.len());
+        slots.resize_with(specs.len(), || None);
+        let mut missing: Vec<usize> = Vec::with_capacity(specs.len());
+        let journal = self.journal.as_ref();
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let key = key_of(i);
+            let Some((journal, json)) = journal.and_then(|j| Some((j, j.get(&key)?))) else {
+                missing.push(i);
+                continue;
+            };
+            // The journal carries no run identity: a record from other
+            // options or another partition can deserialize yet be the
+            // wrong shape (an eval group of another size), which must
+            // not merge.
+            let value = decode(&specs[i], &json).map_err(|detail| JournalError::Corrupt {
+                path: journal.path().to_path_buf(),
+                line: 0,
+                detail: format!("task `{key}` {detail}"),
+            })?;
+            self.salvaged.fetch_add(1, Ordering::Relaxed);
+            // Salvages happen serially on the caller thread, so this
+            // instant lands on the edge recorder in deterministic order.
+            xps_trace::instant("journal.salvage", || xps_trace::attr("task", key.as_str()));
+            *slot = Some(Ok(value));
         }
 
         let mut per_worker = vec![0u64];
         if !missing.is_empty() {
             let run = run_parallel(jobs, missing.len(), |k| {
-                let i = missing[k];
-                let key = key_of(i);
-                let result = match self.dispatch_remote(&key, i, &describe) {
-                    Some(value) => Ok(value),
-                    None => self.run_local(&key, i, &f),
+                let (key, spec) = (key_of(missing[k]), &specs[missing[k]]);
+                let (value, json) = match self.dispatch_remote(&key, spec) {
+                    Some(fresh) => fresh,
+                    None => self.run_local(&key, spec, cache)?,
                 };
-                if let (Ok(value), Some(journal)) = (&result, &self.journal) {
-                    let json =
-                        // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
-                        serde_json::to_string(value).expect("task results serialize to JSON");
+                if let Some(journal) = &self.journal {
                     if let Err(e) = journal.record(&key, json) {
                         // Keep the computed value; surface the persist
                         // failure once the fan completes.
@@ -339,7 +309,7 @@ impl RunContext {
                         slot.get_or_insert(e);
                     }
                 }
-                result
+                Ok(value)
             });
             per_worker = run.per_worker;
             for (k, result) in run.results.into_iter().enumerate() {
@@ -362,77 +332,31 @@ impl RunContext {
         Ok(FanOutcome { items, per_worker })
     }
 
-    /// [`run_fan`](RunContext::run_fan) for a single inline task (the
-    /// re-anneal after a cross-seeding adoption).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_task<T, F>(&self, label: &str, f: F) -> Result<Result<T, TaskError>, ExploreError>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn() -> T + Sync,
-    {
-        let mut fan = self.run_fan(1, label, 1, |_| f())?;
-        // xps-allow(no-unwrap-in-lib): run_fan(1, ..) returns exactly one item on success
-        Ok(fan.items.pop().expect("one item"))
-    }
-
-    /// [`run_task`](RunContext::run_task) with a wire description, so
-    /// an attached dispatcher can relocate the single task too.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_task_described<T, F>(
-        &self,
-        label: &str,
-        spec: TaskSpec,
-        f: F,
-    ) -> Result<Result<T, TaskError>, ExploreError>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn() -> T + Sync,
-    {
-        let mut fan = self.run_fan_tasks(1, label, 1, |_| Some(spec.clone()), |_| f())?;
-        // xps-allow(no-unwrap-in-lib): run_fan_tasks(1, ..) returns exactly one item on success
-        Ok(fan.items.pop().expect("one item"))
-    }
-
-    /// Offer one fan item to the attached dispatcher. Any reason not
-    /// to run remotely — no dispatcher, no task description, a
-    /// declined dispatch, or a response body that
-    /// does not decode as the item type — yields `None`, and the item
-    /// runs locally instead. Each distinct spec is sent once per
-    /// context: a caller of a spec already sent waits for that answer
-    /// and decodes it too, since a task is a pure function of its
-    /// spec. A decline or an undecodable body is forgotten once its
-    /// waiters have seen it, so a later ask sends the spec again.
-    fn dispatch_remote<T, D>(&self, key: &str, i: usize, describe: &D) -> Option<T>
-    where
-        T: Deserialize,
-        D: Fn(usize) -> Option<TaskSpec>,
-    {
+    /// Offer one spec to the attached dispatcher: its decoded answer
+    /// and the result string, or `None` — no dispatcher, a declined
+    /// dispatch, or a body that is not the spec's result — to run it
+    /// locally instead. Each distinct spec is sent once per context: a
+    /// caller of a spec already sent waits for that answer and decodes
+    /// it too, since a task is a pure function of its spec. A decline
+    /// or an unusable body is forgotten once its waiters have seen it,
+    /// so a later ask sends the spec again.
+    fn dispatch_remote<T: Deserialize>(&self, key: &str, spec: &TaskSpec) -> Option<(T, String)> {
         let dispatcher = self.dispatcher.as_ref()?;
-        let spec = describe(i)?;
         let canonical = spec.canonical();
         let memo = || self.answered.lock().unwrap_or_else(PoisonError::into_inner);
         let answer = Arc::clone(memo().entry(canonical.clone()).or_default());
         // Outside the memo lock: the first caller sends the spec, any
         // concurrent caller of the same spec blocks here until it is
         // answered.
-        let value = answer
-            .get_or_init(|| dispatcher.dispatch(key, &spec))
-            .as_deref()
-            .and_then(|body| serde_json::from_str::<T>(body).ok());
-        match value {
-            Some(value) => {
+        let fresh = answer
+            .get_or_init(|| dispatcher.dispatch(key, spec))
+            .as_ref()
+            .and_then(|body| Some((decode(spec, body).ok()?, body.clone())));
+        match fresh {
+            Some(fresh) => {
                 self.remote.fetch_add(1, Ordering::Relaxed);
-                Some(value)
+                Some(fresh)
             }
-            // A body that parsed as JSON upstream but not as the item
-            // type is treated like any other bad response: degrade to
-            // local execution.
             None => {
                 let mut memo = memo();
                 if memo
@@ -446,31 +370,37 @@ impl RunContext {
         }
     }
 
-    /// Run one fan item on this machine, recording its spans when a
-    /// trace sink is attached.
-    fn run_local<T, F>(&self, key: &str, i: usize, f: &F) -> Result<T, TaskError>
-    where
-        F: Fn(usize) -> T,
-    {
+    /// Run one spec on this machine — the value and its result string
+    /// — recording its spans when a trace sink is attached.
+    fn run_local<T: Deserialize>(
+        &self,
+        key: &str,
+        spec: &TaskSpec,
+        cache: Option<&EvalCache>,
+    ) -> Result<(T, String), TaskError> {
+        let run = || {
+            let json = spec.run(cache).map_err(|e| e.to_string())?;
+            Ok((decode(spec, &json)?, json))
+        };
         match &self.trace {
             Some(trace) => {
                 // Record the task into a private recorder whose
                 // logical clock starts at zero; attach it under
                 // the deterministic task key only on success,
                 // so failed attempts leave no trace events.
-                let (rec, result) = with_recorder(trace.recorder(), || self.attempt(key, || f(i)));
+                let (rec, result) = with_recorder(trace.recorder(), || self.attempt(key, run));
                 if result.is_ok() {
                     trace.attach(key, rec);
                 }
                 result
             }
-            None => self.attempt(key, || f(i)),
+            None => self.attempt(key, run),
         }
     }
 
     /// Run one task with fault injection, panic isolation, and
     /// retries.
-    fn attempt<T>(&self, key: &str, f: impl Fn() -> T) -> Result<T, TaskError> {
+    fn attempt<T>(&self, key: &str, f: impl Fn() -> Result<T, String>) -> Result<T, TaskError> {
         let max_attempts = self.retries.saturating_add(1);
         let mut failure = TaskFailure::Failed("no attempts made".into());
         for attempt in 0..max_attempts {
@@ -485,7 +415,7 @@ impl RunContext {
                 failure = TaskFailure::Failed(format!("injected fault (attempt {attempt})"));
                 continue;
             }
-            // Tasks are pure functions of their index: nothing observes
+            // Tasks are pure functions of their spec: nothing observes
             // a half-updated state after an unwind, so AssertUnwindSafe
             // is sound here.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -495,10 +425,11 @@ impl RunContext {
                 f()
             }));
             match outcome {
-                Ok(value) => {
+                Ok(Ok(value)) => {
                     self.executed.fetch_add(1, Ordering::Relaxed);
                     return Ok(value);
                 }
+                Ok(Err(detail)) => failure = TaskFailure::Failed(detail),
                 Err(payload) => failure = TaskFailure::Panicked(panic_message(payload.as_ref())),
             }
         }
@@ -512,6 +443,17 @@ impl RunContext {
             failure,
         })
     }
+}
+
+/// Decode a task's result string as the fan's item type, after
+/// checking it is the spec's result shape. The one check every result
+/// passes, whether salvaged from the journal, answered remotely or
+/// run here.
+fn decode<T: Deserialize>(spec: &TaskSpec, json: &str) -> Result<T, String> {
+    if !spec.result_fits(json) {
+        return Err("is not its task's result shape".into());
+    }
+    serde_json::from_str(json).map_err(|e| format!("does not deserialize: {e}"))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -529,7 +471,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use std::sync::atomic::AtomicUsize;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("xps-recovery-tests");
@@ -537,14 +478,40 @@ mod tests {
         dir.join(format!("{name}-{}.jsonl", std::process::id()))
     }
 
+    fn gzip() -> xps_workload::WorkloadProfile {
+        xps_workload::spec::profile("gzip").expect("gzip exists")
+    }
+
+    /// An eval group of one: gzip on the initial core at `ops` ops.
+    fn eval_spec(ops: u64) -> TaskSpec {
+        TaskSpec::eval(&gzip(), &[xps_sim::CoreConfig::initial()], ops)
+    }
+
+    /// `n` eval specs of distinct lengths; item `i` has
+    /// `1_000 + 100 * i` ops.
+    fn specs(n: usize) -> Vec<TaskSpec> {
+        (0..n).map(|i| eval_spec(1_000 + 100 * i as u64)).collect()
+    }
+
+    /// Item `i` of [`specs`], evaluated directly.
+    fn lone(i: usize) -> Vec<f64> {
+        let ops = 1_000 + 100 * i as u64;
+        vec![xps_sim::evaluate(&gzip(), &xps_sim::CoreConfig::initial(), ops).ipt()]
+    }
+
+    fn values(fan: FanOutcome<Vec<f64>>) -> Vec<Vec<f64>> {
+        fan.items.into_iter().map(|r| r.expect("ok")).collect()
+    }
+
     #[test]
     fn clean_fan_matches_direct_evaluation() {
         let ctx = RunContext::new();
-        let fan = ctx.run_fan(3, "sq", 10, |i| (i * i) as u64).expect("fan");
-        let values: Vec<u64> = fan.items.into_iter().map(|r| r.expect("ok")).collect();
-        assert_eq!(values, (0..10).map(|i| (i * i) as u64).collect::<Vec<_>>());
+        for cache in [Some(&EvalCache::new()), None] {
+            let fan = ctx.run_fan_tasks(3, "sq", &specs(10), cache).expect("fan");
+            assert_eq!(values(fan), (0..10).map(lone).collect::<Vec<_>>());
+        }
         let s = ctx.stats();
-        assert_eq!(s.executed, 10);
+        assert_eq!(s.executed, 20);
         assert_eq!((s.salvaged, s.retried, s.faults_injected), (0, 0, 0));
     }
 
@@ -553,10 +520,8 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::rate(100, 0, 2, FaultKind::Panic))
             .with_retries(2);
-        let fan = ctx.run_fan(2, "t", 6, |i| i as u64).expect("fan");
-        for (i, r) in fan.items.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("third attempt succeeds"), i as u64);
-        }
+        let fan = ctx.run_fan_tasks(2, "t", &specs(6), None).expect("fan");
+        assert_eq!(values(fan), (0..6).map(lone).collect::<Vec<_>>());
         let s = ctx.stats();
         assert_eq!(s.executed, 6);
         assert_eq!(s.retried, 12, "two retries per task");
@@ -569,14 +534,16 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::targets(["t#0/2"], u32::MAX, FaultKind::Panic))
             .with_retries(1);
-        let fan = ctx.run_fan(2, "t", 5, |i| i as u64).expect("fan");
+        let fan = ctx
+            .run_fan_tasks::<Vec<f64>>(2, "t", &specs(5), None)
+            .expect("fan");
         for (i, r) in fan.items.iter().enumerate() {
             if i == 2 {
                 let e = r.as_ref().expect_err("task 2 fails permanently");
                 assert_eq!(e.attempts, 2);
                 assert!(matches!(e.failure, TaskFailure::Panicked(_)));
             } else {
-                assert_eq!(*r.as_ref().expect("others unaffected"), i as u64);
+                assert_eq!(*r.as_ref().expect("others unaffected"), lone(i));
             }
         }
         assert_eq!(ctx.stats().failed_tasks, vec!["t#0/2".to_string()]);
@@ -587,41 +554,69 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::targets(["t#0/0"], u32::MAX, FaultKind::Error))
             .with_retries(0);
-        let fan = ctx.run_fan(1, "t", 1, |i| i as u64).expect("fan");
+        let fan = ctx
+            .run_fan_tasks::<Vec<f64>>(1, "t", &specs(1), None)
+            .expect("fan");
         let e = fan.items[0].as_ref().expect_err("fails");
         assert!(matches!(e.failure, TaskFailure::Failed(_)));
+    }
+
+    /// A spec that refuses to run, or whose result is not the fan's
+    /// item type, takes the same retry path as an injected error and
+    /// ends as a typed task failure, never a panic.
+    #[test]
+    fn a_spec_that_cannot_run_is_a_failed_task() {
+        let tech = xps_cacti::Technology::default();
+        let opts = crate::search::SearchOptions {
+            budget: 4,
+            eval_ops: 1_000,
+            seed: 1,
+        };
+        let mut unknown = TaskSpec::search(&gzip(), "anneal", &opts, &tech);
+        unknown.explorer = Some("bogus".into());
+        let ctx = RunContext::new().with_retries(1);
+        let fan = ctx
+            .run_fan_tasks::<crate::search::SearchOutcome>(1, "s", &[unknown], None)
+            .expect("fan");
+        let e = fan.items[0].as_ref().expect_err("fails");
+        assert_eq!(e.attempts, 2, "retried like any failure");
+        assert!(
+            matches!(&e.failure, TaskFailure::Failed(d) if d.contains("bogus")),
+            "{e:?}"
+        );
+        // An eval result does not decode as an anneal's.
+        let fan = ctx
+            .run_fan_tasks::<crate::anneal::AnnealResult>(1, "a", &specs(1), None)
+            .expect("fan");
+        let e = fan.items[0].as_ref().expect_err("fails");
+        assert!(matches!(&e.failure, TaskFailure::Failed(d) if d.contains("deserialize")));
+        assert_eq!(ctx.stats().failed_tasks, vec!["s#0/0", "a#1/0"]);
     }
 
     #[test]
     fn journaled_tasks_are_salvaged_not_rerun() {
         let path = tmp("salvage");
-        let calls = AtomicUsize::new(0);
+        let all = specs(8);
         {
             let journal = Journal::create(&path).expect("create");
             let ctx = RunContext::new().with_journal(journal);
-            let fan = ctx
-                .run_fan(2, "v", 8, |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    i as f64 + 0.5
-                })
-                .expect("fan");
-            assert_eq!(fan.items.len(), 8);
-            assert_eq!(calls.load(Ordering::Relaxed), 8);
+            let fan = ctx.run_fan_tasks(2, "v", &all, None).expect("fan");
+            assert_eq!(values(fan), (0..8).map(lone).collect::<Vec<_>>());
+            // The journal holds each result string exactly as run.
+            let journal = ctx.journal().expect("journal");
+            for (i, spec) in all.iter().enumerate() {
+                let json = journal.get(&format!("v#0/{i}")).expect("journaled");
+                assert_eq!(json, spec.run(None).expect("runs"));
+            }
         }
-        // Resume: all eight tasks replay from disk; f never runs.
+        // Resume: all eight tasks replay from disk; nothing runs.
         let journal = Journal::open(&path).expect("open");
         assert_eq!(journal.loaded(), 8);
         let ctx = RunContext::new().with_journal(journal);
-        let fan = ctx
-            .run_fan(2, "v", 8, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                i as f64 + 0.5
-            })
-            .expect("fan");
-        assert_eq!(calls.load(Ordering::Relaxed), 8, "no task re-ran");
-        for (i, r) in fan.items.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("ok"), i as f64 + 0.5);
-        }
+        let cache = EvalCache::new();
+        let fan = ctx.run_fan_tasks(2, "v", &all, Some(&cache)).expect("fan");
+        assert_eq!(values(fan), (0..8).map(lone).collect::<Vec<_>>());
+        assert_eq!(cache.counters().misses, 0, "no task re-ran");
         let s = ctx.stats();
         assert_eq!((s.executed, s.salvaged), (0, 8));
         let _ = std::fs::remove_file(&path);
@@ -635,7 +630,9 @@ mod tests {
             .with_journal(journal)
             .with_faults(FaultPlan::targets(["w#0/1"], u32::MAX, FaultKind::Panic))
             .with_retries(0);
-        let fan = ctx.run_fan(1, "w", 3, |i| i as u64).expect("fan");
+        let fan = ctx
+            .run_fan_tasks::<Vec<f64>>(1, "w", &specs(3), None)
+            .expect("fan");
         assert!(fan.items[1].is_err());
         let journal = Journal::open(&path).expect("open");
         assert_eq!(journal.loaded(), 2, "only the two successes persist");
@@ -643,19 +640,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A dispatcher that executes specs in-process — the degenerate
-    /// "remote" worker, sharing nothing with the local closure except
-    /// the deterministic engine.
+    /// A dispatcher that runs specs in-process, as a worker does —
+    /// the degenerate "remote" worker.
     #[derive(Debug, Default)]
     struct InProcessDispatcher {
-        cache: crate::cache::EvalCache,
+        cache: EvalCache,
         served: AtomicU64,
         garble: bool,
         decline: bool,
     }
 
-    impl crate::task::TaskDispatcher for InProcessDispatcher {
-        fn dispatch(&self, _key: &str, spec: &crate::task::TaskSpec) -> Option<String> {
+    impl TaskDispatcher for InProcessDispatcher {
+        fn dispatch(&self, _key: &str, spec: &TaskSpec) -> Option<String> {
             if self.decline {
                 return None;
             }
@@ -663,36 +659,24 @@ mod tests {
             if self.garble {
                 return Some("{\"not\":\"a result\"}".to_string());
             }
-            spec.execute(&self.cache).ok()
+            spec.validate()
+                .and_then(|()| spec.run(Some(&self.cache)))
+                .ok()
         }
-    }
-
-    fn eval_spec(ops: u64) -> crate::task::TaskSpec {
-        let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-        crate::task::TaskSpec::eval(&profile, &[xps_sim::CoreConfig::initial()], ops)
     }
 
     #[test]
     fn dispatched_fan_is_byte_identical_to_local_fan() {
-        let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-        let config = [xps_sim::CoreConfig::initial()];
-        let run = |dispatcher: Option<Arc<dyn crate::task::TaskDispatcher>>| {
-            let cache = crate::cache::EvalCache::new();
+        let run = |dispatcher: Option<Arc<dyn TaskDispatcher>>| {
+            let cache = EvalCache::new();
             let mut ctx = RunContext::new();
             if let Some(d) = dispatcher {
                 ctx = ctx.with_dispatcher(d);
             }
             let fan = ctx
-                .run_fan_tasks(
-                    2,
-                    "cell",
-                    4,
-                    |i| Some(eval_spec(1_000 + 500 * i as u64)),
-                    |i| cache.ipt_group(&profile, &config, 1_000 + 500 * i as u64),
-                )
+                .run_fan_tasks(2, "cell", &specs(4), Some(&cache))
                 .expect("fan");
-            let values: Vec<Vec<f64>> = fan.items.into_iter().map(|r| r.expect("ok")).collect();
-            (values, ctx.remote_dispatched(), ctx.stats().executed)
+            (values(fan), ctx.remote_dispatched(), ctx.stats().executed)
         };
         let dispatcher = Arc::new(InProcessDispatcher::default());
         let (local, r0, e0) = run(None);
@@ -708,23 +692,15 @@ mod tests {
     #[test]
     fn declined_and_garbled_dispatches_fall_back_to_local() {
         for (garble, decline) in [(false, true), (true, false)] {
-            let cache = crate::cache::EvalCache::new();
             let dispatcher = Arc::new(InProcessDispatcher {
                 garble,
                 decline,
                 ..InProcessDispatcher::default()
             });
             let ctx = RunContext::new().with_dispatcher(dispatcher);
-            let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
-            let config = [xps_sim::CoreConfig::initial()];
+            let same = vec![eval_spec(2_000); 3];
             let fan = ctx
-                .run_fan_tasks(
-                    1,
-                    "cell",
-                    3,
-                    |_| Some(eval_spec(2_000)),
-                    |_| cache.ipt_group(&profile, &config, 2_000),
-                )
+                .run_fan_tasks::<Vec<f64>>(1, "cell", &same, Some(&EvalCache::new()))
                 .expect("fan");
             assert!(fan.items.iter().all(|r| r.is_ok()));
             assert_eq!(ctx.remote_dispatched(), 0, "nothing counted as remote");
@@ -736,20 +712,8 @@ mod tests {
     fn a_spec_answered_once_is_not_dispatched_again() {
         let dispatcher = Arc::new(InProcessDispatcher::default());
         let ctx = RunContext::new().with_dispatcher(dispatcher.clone());
-        let fan = |label: &str| {
-            ctx.run_fan_tasks(
-                2,
-                label,
-                3,
-                |i| Some(eval_spec(1_000 + 500 * (i as u64 % 2))),
-                |_| unreachable!("every item is answered remotely"),
-            )
-            .expect("fan")
-            .items
-            .into_iter()
-            .map(|r| r.expect("ok"))
-            .collect::<Vec<Vec<f64>>>()
-        };
+        let two: Vec<TaskSpec> = (0..3).map(|i| eval_spec(1_000 + 500 * (i % 2))).collect();
+        let fan = |label: &str| values(ctx.run_fan_tasks(2, label, &two, None).expect("fan"));
         let first = fan("cell");
         let again = fan("recell");
         assert_eq!(first, again);
@@ -761,32 +725,26 @@ mod tests {
             "two distinct specs, each sent once"
         );
         assert_eq!(ctx.remote_dispatched(), 6, "every item answered remotely");
-        assert_eq!(ctx.stats().executed, 0);
-    }
-
-    #[test]
-    fn undescribed_items_never_reach_the_dispatcher() {
-        let dispatcher = Arc::new(InProcessDispatcher::default());
-        let ctx = RunContext::new().with_dispatcher(dispatcher.clone());
-        let fan = ctx
-            .run_fan_tasks(2, "plain", 5, |_| None, |i| i as u64)
-            .expect("fan");
-        assert_eq!(fan.items.len(), 5);
-        assert_eq!(dispatcher.served.load(Ordering::Relaxed), 0);
-        assert_eq!(ctx.stats().executed, 5);
+        assert_eq!(ctx.stats().executed, 0, "nothing ran locally");
     }
 
     #[test]
     fn fan_sequence_distinguishes_same_label() {
+        let one = |ctx: &RunContext, ops: u64| {
+            ctx.run_fan_tasks::<Vec<f64>>(1, "x", &[eval_spec(ops)], None)
+                .expect("fan")
+                .items
+                .pop()
+                .expect("one item")
+                .expect("ok")
+        };
         let ctx = RunContext::new();
-        let a = ctx.run_task("x", || 1u64).expect("fan").expect("ok");
-        let b = ctx.run_task("x", || 2u64).expect("fan").expect("ok");
-        assert_eq!((a, b), (1, 2));
+        assert_ne!(one(&ctx, 1_000), one(&ctx, 1_100));
         // With a journal the two calls must land on distinct keys.
         let path = tmp("fan-seq");
         let ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
-        ctx.run_task("x", || 1u64).expect("fan").expect("ok");
-        ctx.run_task("x", || 2u64).expect("fan").expect("ok");
+        one(&ctx, 1_000);
+        one(&ctx, 1_100);
         assert_eq!(ctx.journal().expect("journal").len(), 2);
         let _ = std::fs::remove_file(&path);
     }

@@ -2,22 +2,28 @@
 //!
 //! Every expensive unit of work the pipeline fans out — an annealing
 //! walk from one start, one cross-seeding evaluation, one matrix row
-//! on a lock-step group of cores — is a pure function of a small,
-//! serializable description. A [`TaskSpec`] is that description:
-//! shipped to a fleet worker it reproduces *exactly* the value the
-//! local closure would have computed, because both sides run the same
-//! deterministic engine on the same inputs. That equivalence is what lets a coordinator
-//! scatter tasks over the wire and still gather a byte-identical
-//! result for any worker count, topology, or failure schedule: a task
-//! that cannot be dispatched (no healthy worker, exhausted retries,
-//! garbage response) simply runs locally, and nobody downstream can
-//! tell the difference.
+//! on a lock-step group of cores, one budgeted search — is a pure
+//! function of a small, serializable description. A [`TaskSpec`] is
+//! that description, and the only one: [`RunContext`] runs each fan
+//! item by handing its spec to a fleet worker or, failing that, to
+//! [`TaskSpec::run`] on this machine — the same code the worker runs.
+//! Both sides produce the same result string from the same inputs,
+//! which is what lets a coordinator scatter tasks over the wire and
+//! still gather a byte-identical result for any worker count,
+//! topology, or failure schedule: a task that cannot be dispatched (no
+//! healthy worker, exhausted retries, garbage response) simply runs
+//! locally, and nobody downstream can tell the difference.
+//!
+//! A spec off the network is untrusted: a worker passes it through
+//! [`TaskSpec::validate`] (shape and size bounds) before it runs. The
+//! coordinator runs its own specs directly, so a campaign configured
+//! past a bound still runs — locally.
 //!
 //! A [`TaskDispatcher`] is the seam between the recovery layer and
-//! whatever remote execution exists: [`RunContext`] asks it for each
-//! describable task, and treats `None` — for any reason — as "run it
-//! here". The dispatcher owns every networking concern (deadlines,
-//! retries, backoff, quarantine); this crate never opens a socket.
+//! whatever remote execution exists: [`RunContext`] offers it each
+//! spec, and treats `None` — for any reason — as "run it here". The
+//! dispatcher owns every networking concern (deadlines, retries,
+//! backoff, quarantine); this crate never opens a socket.
 //!
 //! [`RunContext`]: crate::recovery::RunContext
 
@@ -67,7 +73,7 @@ pub enum TaskKind {
 /// The vendored serde derive handles unit enum variants only, so this
 /// is a struct tagged by [`TaskKind`] with the variant payloads as
 /// optional fields; the constructors keep the combinations coherent
-/// and [`execute`](TaskSpec::execute) validates them.
+/// and [`validate`](TaskSpec::validate) checks them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskSpec {
     /// What to run.
@@ -175,8 +181,9 @@ impl TaskSpec {
         }
     }
 
-    /// Check everything [`execute`](TaskSpec::execute) relies on,
-    /// without running anything or allocating for the task.
+    /// The network gate: check everything [`run`](TaskSpec::run)
+    /// relies on, plus the size bounds a worker enforces, without
+    /// running anything or allocating for the task.
     ///
     /// # Errors
     ///
@@ -222,38 +229,40 @@ impl TaskSpec {
         }
     }
 
-    /// Run the task and serialize its result — the exact JSON the
-    /// local fan closure's result would journal, so a dispatched
-    /// result deserializes into the identical in-memory value.
+    /// Run the task and serialize its result: for an eval group one
+    /// IPT per configuration, for an anneal its [`AnnealResult`], for
+    /// a search its [`SearchOutcome`]. With a `cache`, evaluations are
+    /// memoized in it; without one, an eval group is simulated
+    /// directly.
+    ///
+    /// This checks no size bound: the coordinator runs its own specs
+    /// through here whatever their lengths, and a worker calls
+    /// [`validate`](TaskSpec::validate) first.
     ///
     /// # Errors
     ///
-    /// Returns the [`TaskSpecError`] of [`validate`](TaskSpec::validate),
-    /// which runs first. Execution itself is infallible: the engine is
-    /// total over validated inputs.
-    pub fn execute(&self, cache: &EvalCache) -> Result<String, TaskSpecError> {
-        self.validate()?;
+    /// Returns [`TaskSpecError::MissingPayload`] for an incoherent
+    /// spec, [`TaskSpecError::UnknownExplorer`] for an unregistered
+    /// explorer and [`TaskSpecError::InvalidOptions`] for search
+    /// options the search refuses.
+    ///
+    /// [`AnnealResult`]: crate::AnnealResult
+    /// [`SearchOutcome`]: crate::SearchOutcome
+    pub fn run(&self, cache: Option<&EvalCache>) -> Result<String, TaskSpecError> {
         let json = match self.kind {
             TaskKind::Anneal => {
                 let (start, opts, tech) = self.anneal_payload()?;
-                serde_json::to_string(&anneal_with(&self.profile, start, opts, tech, Some(cache)))
+                serde_json::to_string(&anneal_with(&self.profile, start, opts, tech, cache))
             }
-            TaskKind::Eval => {
-                // A group off the network may be of any size: split it
-                // by the same state bound the coordinator uses, so it
-                // never holds more live simulator state than one lone
-                // simulator of its largest member. A coordinator's
-                // group is already one such run and executes unchanged.
-                let ipts: Vec<f64> = xps_sim::lockstep_groups(&self.configs)
-                    .into_iter()
-                    .flat_map(|g| cache.ipt_group(&self.profile, &self.configs[g], self.ops))
-                    .collect();
-                serde_json::to_string(&ipts)
-            }
+            TaskKind::Eval => serde_json::to_string(&self.eval_ipts(cache)),
             TaskKind::Search => {
                 let (name, opts, tech) = self.search_payload()?;
                 let explorer = explorer_by_name(name)
                     .ok_or_else(|| TaskSpecError::UnknownExplorer(name.to_string()))?;
+                // A search memoizes its own revisits; without a shared
+                // cache it gets a private one.
+                let fresh = EvalCache::new();
+                let cache = cache.unwrap_or(&fresh);
                 let outcome = crate::search::search(&*explorer, &self.profile, tech, opts, cache)
                     .map_err(|e| TaskSpecError::InvalidOptions(e.to_string()))?;
                 serde_json::to_string(&outcome)
@@ -261,6 +270,37 @@ impl TaskSpec {
         };
         // xps-allow(no-unwrap-in-lib): task results are plain data structs and finite f64s; serialization cannot fail
         Ok(json.expect("task results serialize to JSON"))
+    }
+
+    /// The IPTs of an eval group, in order. Every group this program
+    /// forms (one configuration, or a [`xps_sim::lockstep_groups`] run
+    /// of the matrix) holds at most the cache state of the largest
+    /// valid core and is stepped in lock step as given. A group off the
+    /// network may be of any size: a larger one runs as its own
+    /// state-bounded runs, so it never holds more live simulator state
+    /// than one lone simulator of its largest member.
+    fn eval_ipts(&self, cache: Option<&EvalCache>) -> Vec<f64> {
+        let ipts = |group: &[CoreConfig]| -> Vec<f64> {
+            match cache {
+                Some(cache) => cache.ipt_group(&self.profile, group, self.ops),
+                None => xps_sim::evaluate_group(&self.profile, group, self.ops)
+                    .iter()
+                    .map(xps_sim::SimStats::ipt)
+                    .collect(),
+            }
+        };
+        let state = self
+            .configs
+            .iter()
+            .map(xps_sim::cache_state_bytes)
+            .fold(0u64, u64::saturating_add);
+        if state <= xps_sim::max_cache_state_bytes() {
+            return ipts(&self.configs);
+        }
+        xps_sim::lockstep_groups(&self.configs)
+            .into_iter()
+            .flat_map(|run| ipts(&self.configs[run]))
+            .collect()
     }
 
     /// The payload of an anneal spec.
@@ -298,7 +338,7 @@ fn within_evals(evals: u64) -> Result<(), TaskSpecError> {
     Ok(())
 }
 
-/// Why [`TaskSpec::execute`] refused a spec.
+/// Why [`TaskSpec::validate`] or [`TaskSpec::run`] refused a spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskSpecError {
     /// The payload its kind needs is missing (names the fields).
@@ -356,9 +396,8 @@ impl std::error::Error for TaskSpecError {}
 /// The remote-execution seam of the recovery layer.
 ///
 /// `dispatch` either returns the serialized result of running `spec`
-/// somewhere else — byte-compatible with the local closure's journal
-/// serialization — or `None` to decline, in which case the task runs
-/// locally. Declining is always sound: it is the graceful-degradation
+/// somewhere else — the string [`TaskSpec::run`] returns — or `None`
+/// to decline, in which case the task runs locally. Declining is always sound: it is the graceful-degradation
 /// path down to zero workers. Implementations own their failure
 /// handling (deadlines, bounded retries, quarantine) and must never
 /// panic or block indefinitely; a worker that hangs past its deadline
@@ -400,27 +439,48 @@ mod tests {
     }
 
     #[test]
-    fn eval_execute_matches_local_evaluation() {
+    fn eval_run_matches_lone_evaluations() {
         let group = [CoreConfig::initial(), narrow(), CoreConfig::initial()];
         let t = TaskSpec::eval(&gzip(), &group, 4_000);
-        let remote = t.execute(&EvalCache::new()).expect("executes");
-        let back: Vec<f64> = serde_json::from_str(&remote).expect("Vec<f64> body");
         let fresh = EvalCache::new();
-        let local: Vec<f64> = group.iter().map(|c| fresh.ipt(&gzip(), c, 4_000)).collect();
-        assert!(
-            back == local,
-            "remote must be bit-identical to one evaluation per config: {back:?} vs {local:?}"
-        );
-        // A group of one deserializes into the `seed` fan's item type
-        // `Option<Vec<f64>>` as `Some`, matching its local closure.
-        let one = TaskSpec::eval(&gzip(), &group[1..2], 4_000);
-        let opt: Option<Vec<f64>> =
-            serde_json::from_str(&one.execute(&fresh).expect("executes")).expect("body");
-        assert_eq!(opt, Some(vec![local[1]]));
+        let lone: Vec<f64> = group.iter().map(|c| fresh.ipt(&gzip(), c, 4_000)).collect();
+        for cache in [Some(&EvalCache::new()), None] {
+            let body = t.run(cache).expect("runs");
+            let back: Vec<f64> = serde_json::from_str(&body).expect("Vec<f64> body");
+            assert!(
+                back == lone,
+                "bit-identical to one evaluation per config: {back:?} vs {lone:?}"
+            );
+            assert!(t.result_fits(&body));
+        }
+    }
+
+    /// A group holding more cache state than any one valid core —
+    /// only a spec off the network — runs as state-bounded runs, each
+    /// member still equal to its lone evaluation.
+    #[test]
+    fn a_group_past_the_state_bound_runs_split() {
+        let mut big = CoreConfig::initial();
+        big.l2.geometry.sets = 65_536;
+        big.l2.geometry.assoc = 16;
+        big.validate().expect("the largest L2 is valid");
+        let group = [big.clone(), narrow(), big];
+        let state: u64 = group.iter().map(xps_sim::cache_state_bytes).sum();
+        assert!(state > xps_sim::max_cache_state_bytes());
+        assert!(xps_sim::lockstep_groups(&group).len() > 1);
+        let body = TaskSpec::eval(&gzip(), &group, 1_000)
+            .run(None)
+            .expect("runs");
+        let back: Vec<f64> = serde_json::from_str(&body).expect("Vec<f64> body");
+        let lone: Vec<f64> = group
+            .iter()
+            .map(|c| xps_sim::evaluate(&gzip(), c, 1_000).ipt())
+            .collect();
+        assert!(back == lone, "{back:?} vs {lone:?}");
     }
 
     #[test]
-    fn anneal_execute_matches_local_anneal() {
+    fn anneal_run_matches_local_anneal() {
         let cache = EvalCache::new();
         let mut opts = AnnealOptions::quick();
         opts.iterations = 6;
@@ -429,14 +489,19 @@ mod tests {
         let tech = Technology::default();
         let start = DesignPoint::initial();
         let t = TaskSpec::anneal(&gzip(), &start, &opts, &tech);
-        let remote = t.execute(&cache).expect("executes");
+        let remote = t.run(Some(&cache)).expect("runs");
         let local = anneal_with(&gzip(), &start, &opts, &tech, Some(&cache));
         let expected = serde_json::to_string(&local).expect("serializes");
-        assert_eq!(remote, expected, "remote anneal is byte-identical");
+        assert_eq!(remote, expected, "the spec's anneal is byte-identical");
+        assert_eq!(
+            t.run(None).expect("runs"),
+            expected,
+            "with or without a cache"
+        );
     }
 
     #[test]
-    fn search_execute_matches_local_search() {
+    fn search_run_matches_local_search() {
         use crate::search::{explorer_by_name, search};
         let cache = EvalCache::new();
         let opts = SearchOptions {
@@ -446,11 +511,16 @@ mod tests {
         };
         let tech = Technology::default();
         let t = TaskSpec::search(&gzip(), "genetic", &opts, &tech);
-        let remote = t.execute(&cache).expect("executes");
+        let remote = t.run(Some(&cache)).expect("runs");
         let explorer = explorer_by_name("genetic").expect("registered");
         let local = search(&*explorer, &gzip(), &tech, &opts, &cache).expect("searches");
         let expected = serde_json::to_string(&local).expect("serializes");
-        assert_eq!(remote, expected, "remote search is byte-identical");
+        assert_eq!(remote, expected, "the spec's search is byte-identical");
+        assert_eq!(
+            t.run(None).expect("runs"),
+            expected,
+            "with or without a cache"
+        );
     }
 
     #[test]
@@ -463,35 +533,36 @@ mod tests {
         let tech = Technology::default();
         let mut t = TaskSpec::search(&gzip(), "anneal", &opts, &tech);
         t.explorer = Some("bogus".into());
-        assert!(t.execute(&EvalCache::new()).is_err(), "unknown explorer");
+        let unknown = TaskSpecError::UnknownExplorer("bogus".into());
+        assert_eq!(t.validate(), Err(unknown.clone()), "unknown explorer");
+        assert_eq!(t.run(None), Err(unknown), "run refuses it too");
         let mut t = TaskSpec::search(&gzip(), "anneal", &opts, &tech);
         t.search = None;
-        assert!(t.execute(&EvalCache::new()).is_err(), "missing options");
+        assert!(t.validate().is_err(), "missing options");
+        assert!(t.run(None).is_err(), "run refuses it too");
         let mut bad = opts.clone();
         bad.budget = 0;
         let t = TaskSpec::search(&gzip(), "anneal", &bad, &tech);
-        assert!(t.execute(&EvalCache::new()).is_err(), "invalid options");
+        assert!(t.validate().is_err(), "invalid options");
+        assert!(
+            matches!(t.run(None), Err(TaskSpecError::InvalidOptions(_))),
+            "the search refuses them when run"
+        );
     }
 
     #[test]
     fn incoherent_specs_are_typed_errors() {
-        let cache = EvalCache::new();
         let t = TaskSpec::eval(&gzip(), &[], 1_000);
-        assert_eq!(t.execute(&cache), Err(TaskSpecError::EmptyGroup));
+        assert_eq!(t.validate(), Err(TaskSpecError::EmptyGroup));
         let mut bad = narrow();
         bad.iq_size = 64;
         let t = TaskSpec::eval(&gzip(), &[CoreConfig::initial(), bad], 1_000);
         assert!(
             matches!(
-                t.execute(&cache),
+                t.validate(),
                 Err(TaskSpecError::InvalidConfig { index: 1, .. })
             ),
             "the invalid member is named by position"
-        );
-        assert_eq!(
-            cache.counters().misses,
-            0,
-            "a rejected group simulates nothing"
         );
         let mut a = TaskSpec::anneal(
             &gzip(),
@@ -500,30 +571,26 @@ mod tests {
             &Technology::default(),
         );
         a.opts = None;
-        assert!(a.execute(&EvalCache::new()).is_err());
+        assert!(a.validate().is_err());
+        assert!(a.run(None).is_err(), "run needs the payload too");
         let z = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], 0);
-        assert_eq!(z.execute(&cache), Err(TaskSpecError::ZeroOps));
+        assert_eq!(z.validate(), Err(TaskSpecError::ZeroOps));
         // Every evaluation length a spec carries is bounded.
         let over = MAX_TASK_OPS + 1;
         let e = TaskSpec::eval(&gzip(), &[CoreConfig::initial()], u64::MAX);
-        assert_eq!(e.execute(&cache), Err(TaskSpecError::OpsTooLarge(u64::MAX)));
+        assert_eq!(e.validate(), Err(TaskSpecError::OpsTooLarge(u64::MAX)));
         let mut opts = AnnealOptions::quick();
         opts.eval_ops_late = over;
         let tech = Technology::default();
         let a = TaskSpec::anneal(&gzip(), &DesignPoint::initial(), &opts, &tech);
-        assert_eq!(a.execute(&cache), Err(TaskSpecError::OpsTooLarge(over)));
+        assert_eq!(a.validate(), Err(TaskSpecError::OpsTooLarge(over)));
         let search = SearchOptions {
             budget: 4,
             eval_ops: over,
             seed: 1,
         };
         let s = TaskSpec::search(&gzip(), "anneal", &search, &tech);
-        assert_eq!(s.execute(&cache), Err(TaskSpecError::OpsTooLarge(over)));
-        assert_eq!(
-            cache.counters().misses,
-            0,
-            "a refused spec simulates nothing"
-        );
+        assert_eq!(s.validate(), Err(TaskSpecError::OpsTooLarge(over)));
     }
 
     /// The evaluation count is checked by validation alone, so these

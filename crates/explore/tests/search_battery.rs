@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xps_cacti::Technology;
 use xps_explore::{
-    explorer_by_name, search, EvalCache, RunContext, SearchOptions, TaskDispatcher, TaskSpec,
-    EXPLORER_NAMES,
+    explorer_by_name, search, EvalCache, RunContext, SearchOptions, SearchOutcome, TaskDispatcher,
+    TaskSpec, EXPLORER_NAMES,
 };
 use xps_workload::{spec, WorkloadProfile};
 
@@ -116,19 +116,25 @@ struct InProcessDispatcher {
 impl TaskDispatcher for InProcessDispatcher {
     fn dispatch(&self, _key: &str, spec: &TaskSpec) -> Option<String> {
         self.served.fetch_add(1, Ordering::Relaxed);
-        spec.execute(&self.cache).ok()
+        spec.validate()
+            .and_then(|()| spec.run(Some(&self.cache)))
+            .ok()
     }
 }
 
 /// A fan of searches through the dispatcher seam returns the same
-/// bytes as the local closures — the property that lets `repro
-/// bakeoff --workers ..` scale over a fleet without changing the
-/// report.
+/// bytes as a local fan and as direct searches — the property that
+/// lets `repro bakeoff --workers ..` scale over a fleet without
+/// changing the report.
 #[test]
 fn dispatched_searches_match_local_searches_byte_for_byte() {
     let tech = Technology::default();
     let profile = gzip();
     let o = opts(8, 5);
+    let specs: Vec<TaskSpec> = EXPLORER_NAMES
+        .iter()
+        .map(|name| TaskSpec::search(&profile, name, &o, &tech))
+        .collect();
     let run = |dispatcher: Option<Arc<dyn TaskDispatcher>>| {
         let cache = EvalCache::new();
         let mut ctx = RunContext::new();
@@ -136,16 +142,7 @@ fn dispatched_searches_match_local_searches_byte_for_byte() {
             ctx = ctx.with_dispatcher(d);
         }
         let fan = ctx
-            .run_fan_tasks(
-                2,
-                "battery",
-                EXPLORER_NAMES.len(),
-                |i| Some(TaskSpec::search(&profile, EXPLORER_NAMES[i], &o, &tech)),
-                |i| {
-                    let e = explorer_by_name(EXPLORER_NAMES[i]).expect("registered");
-                    search(&*e, &profile, &tech, &o, &cache).expect("searches")
-                },
-            )
+            .run_fan_tasks::<SearchOutcome>(2, "battery", &specs, Some(&cache))
             .expect("fan");
         let items: Vec<String> = fan
             .items
@@ -154,6 +151,14 @@ fn dispatched_searches_match_local_searches_byte_for_byte() {
             .collect();
         (items, ctx.remote_dispatched())
     };
+    let direct: Vec<String> = EXPLORER_NAMES
+        .iter()
+        .map(|name| {
+            let e = explorer_by_name(name).expect("registered");
+            let r = search(&*e, &profile, &tech, &o, &EvalCache::new()).expect("searches");
+            serde_json::to_string(&r).expect("serializes")
+        })
+        .collect();
     let dispatcher = Arc::new(InProcessDispatcher::default());
     let (local, r0) = run(None);
     let (remote, r1) = run(Some(dispatcher.clone()));
@@ -163,5 +168,6 @@ fn dispatched_searches_match_local_searches_byte_for_byte() {
         dispatcher.served.load(Ordering::Relaxed),
         EXPLORER_NAMES.len() as u64
     );
+    assert_eq!(local, direct, "a local fan runs each search as given");
     assert_eq!(local, remote, "the wire round trip must not move a byte");
 }

@@ -24,8 +24,7 @@ use serde::Serialize;
 use xps_core::cacti::Technology;
 use xps_core::communal::{hypervolume, ParetoPoint};
 use xps_core::explore::{
-    explorer_by_name, search, CurvePoint, EvalCache, RunContext, SearchOptions, SearchOutcome,
-    TaskSpec, EXPLORER_NAMES,
+    CurvePoint, EvalCache, RunContext, SearchOptions, SearchOutcome, TaskSpec, EXPLORER_NAMES,
 };
 use xps_core::trace;
 use xps_core::workload::{spec, WorkloadProfile};
@@ -303,30 +302,20 @@ pub fn run_bakeoff(
     }
     let tech = Technology::default();
     let cache = EvalCache::new();
-    let n = profiles.len() * EXPLORER_NAMES.len();
 
     // Workload-major fan: item t = (workload t / E, explorer t % E).
     // Each search is a pure function of its spec, so the fan is
     // dispatchable and journal-resumable.
+    let specs: Vec<TaskSpec> = profiles
+        .iter()
+        .flat_map(|(p, _)| {
+            EXPLORER_NAMES
+                .iter()
+                .map(|name| TaskSpec::search(p, name, &opts.search, &tech))
+        })
+        .collect();
     let fan = ctx
-        .run_fan_tasks(
-            opts.jobs,
-            "bakeoff",
-            n,
-            |t| {
-                let (p, _) = &profiles[t / EXPLORER_NAMES.len()];
-                let name = EXPLORER_NAMES[t % EXPLORER_NAMES.len()];
-                Some(TaskSpec::search(p, name, &opts.search, &tech))
-            },
-            |t| {
-                let (p, _) = &profiles[t / EXPLORER_NAMES.len()];
-                let name = EXPLORER_NAMES[t % EXPLORER_NAMES.len()];
-                // xps-allow(no-unwrap-in-lib): the registry contains every EXPLORER_NAMES entry
-                let explorer = explorer_by_name(name).expect("portfolio explorer exists");
-                // xps-allow(no-unwrap-in-lib): options were validated before the fan; search cannot fail
-                search(&*explorer, p, &tech, &opts.search, &cache).expect("validated options")
-            },
-        )
+        .run_fan_tasks::<SearchOutcome>(opts.jobs, "bakeoff", &specs, Some(&cache))
         .map_err(|e| ScenarioError::Pipeline(e.into()))?;
 
     let mut items = fan.items.into_iter();
@@ -449,7 +438,7 @@ pub fn run_bakeoff(
     span.end_with(|| {
         trace::attrs([
             ("workloads", (workloads.len() as u64).into()),
-            ("tasks", (n as u64).into()),
+            ("tasks", (specs.len() as u64).into()),
         ])
     });
     Ok(BakeoffReport {

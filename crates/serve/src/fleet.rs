@@ -613,7 +613,7 @@ mod tests {
                 ("POST", "/tasks") => {
                     let spec: TaskSpec = serde_json::from_str(body.unwrap_or(""))
                         .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-                    match spec.execute(&self.cache) {
+                    match spec.validate().and_then(|()| spec.run(Some(&self.cache))) {
                         Ok(result) => Ok(Response {
                             status: 200,
                             body: task_envelope(&result),

@@ -136,7 +136,11 @@ impl Request {
 
 /// Read one CRLF- (or LF-) terminated line of at most `limit` bytes,
 /// without the terminator.
-fn read_line_limited(r: &mut impl BufRead, limit: usize, what: &str) -> Result<String, ServeError> {
+pub(crate) fn read_line_limited(
+    r: &mut impl BufRead,
+    limit: usize,
+    what: &str,
+) -> Result<String, ServeError> {
     let mut buf = Vec::new();
     let mut t = r.take(limit as u64 + 1);
     t.read_until(b'\n', &mut buf)?;

@@ -368,7 +368,9 @@ fn run_task(shared: &Shared, req: &Request, w: &mut impl Write) -> Result<(), Se
     // Task specs are plain data; a panicking execution (a bug or an
     // injected fault on the worker) must fail this request, never the
     // handler thread or the daemon.
-    let body = match catch_unwind(AssertUnwindSafe(|| spec.execute(&shared.cache))) {
+    // The spec came off the network: it runs only past `validate`.
+    let run = || spec.validate().and_then(|()| spec.run(Some(&shared.cache)));
+    let body = match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(body)) => body,
         Ok(Err(detail)) => {
             return Err(ServeError::BadRequest(format!(

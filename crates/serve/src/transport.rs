@@ -10,11 +10,9 @@
 //! injects the [`NetFaultPlan`]'s seeded misbehavior around any inner
 //! transport.
 
-use crate::client::{read_response, Response};
+use crate::client::{roundtrip, Response};
 use crate::error::ServeError;
 use crate::netfault::{NetFault, NetFaultPlan};
-use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// One blocking HTTP round-trip to a worker.
@@ -68,22 +66,7 @@ impl Transport for TcpTransport {
         timeout: Duration,
         _fault_key: &str,
     ) -> Result<Response, ServeError> {
-        let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            ServeError::BadRequest(format!("worker address `{addr}` resolves to nothing"))
-        })?;
-        let mut stream = TcpStream::connect_timeout(&target, self.connect_timeout)?;
-        // A worker that accepts the connection and then hangs must
-        // surface as a timeout, not wedge the coordinator's pool slot.
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let body = body.unwrap_or("");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )?;
-        stream.flush()?;
-        read_response(&mut std::io::BufReader::new(stream))
+        roundtrip(addr, method, path, body, self.connect_timeout, timeout)
     }
 }
 

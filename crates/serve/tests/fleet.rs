@@ -373,3 +373,54 @@ fn hostile_cache_geometry_is_a_typed_400_and_the_worker_lives_on() {
     let ipts: Vec<f64> = serde_json::from_str(&body).expect("one IPT");
     assert_eq!(ipts.len(), 1);
 }
+
+/// A "worker" that answers every request with a 200 announcing a
+/// 16 TiB body. The coordinator must refuse the announcement as a bad
+/// response — allocating it would abort the whole process — and the
+/// campaign still completes locally, byte-identical to a local run.
+#[test]
+fn a_worker_announcing_a_huge_body_is_a_bad_response() {
+    use std::io::Write;
+    use xps_serve::{ServeError, Transport};
+    let oracle = single_node_document();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let answered = Arc::new(AtomicU64::new(0));
+    let count = Arc::clone(&answered);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            // Read the whole request first, so closing the socket
+            // cannot reset the connection under the answer.
+            let mut reader = BufReader::new(stream);
+            if xps_serve::http::Request::parse(&mut reader).is_err() {
+                continue;
+            }
+            let mut stream = reader.into_inner();
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 17592186044416\r\n\r\n");
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let probe = TcpTransport::default().roundtrip(
+        &addr,
+        "GET",
+        "/healthz",
+        None,
+        Duration::from_secs(30),
+        "probe",
+    );
+    assert!(
+        matches!(probe, Err(ServeError::TooLarge { .. })),
+        "{probe:?}"
+    );
+    let fleet = Arc::new(Fleet::tcp(test_config(vec![addr.clone()])));
+    assert_eq!(fleet_document(&fleet), oracle, "the campaign diverged");
+    let stats = fleet.stats();
+    assert!(answered.load(Ordering::Relaxed) > 1, "the worker was asked");
+    assert_eq!(stats.dispatched, 0, "no answer was taken: {stats:?}");
+    assert!(
+        stats.degraded > 0,
+        "tasks fell back to local runs: {stats:?}"
+    );
+    assert!(stats.workers[0].quarantined, "{stats:?}");
+}

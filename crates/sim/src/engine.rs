@@ -667,6 +667,15 @@ pub fn cache_state_bytes(cfg: &CoreConfig) -> u64 {
     (lines(&cfg.l1) + lines(&cfg.l2)) * DataCache::LINE_BYTES
 }
 
+/// The most [`cache_state_bytes`] one configuration that passes
+/// [`CoreConfig::validate`] can hold: both levels at the largest
+/// explored sets × associativity. Every [`lockstep_groups`] run holds
+/// at most this much, so a group above it was formed by no caller here.
+pub fn max_cache_state_bytes() -> u64 {
+    let max = |xs: &[u32]| u64::from(xs.iter().copied().max().unwrap_or(0));
+    2 * max(&xps_cacti::fit::CACHE_SETS) * max(&xps_cacti::fit::CACHE_ASSOC) * DataCache::LINE_BYTES
+}
+
 /// Split `configs` into runs of consecutive configurations to
 /// evaluate with [`evaluate_group`], covering every index exactly
 /// once and in order.

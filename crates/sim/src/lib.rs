@@ -47,7 +47,9 @@ mod stats;
 
 pub use cache::{CacheStats, DataCache, Hierarchy, PrefetchKind};
 pub use config::{CacheConfig, ConfigKey, CoreConfig};
-pub use engine::{cache_state_bytes, evaluate, evaluate_group, lockstep_groups, Simulator};
+pub use engine::{
+    cache_state_bytes, evaluate, evaluate_group, lockstep_groups, max_cache_state_bytes, Simulator,
+};
 pub use power::{energy_delay_product, estimate_energy, EnergyBreakdown};
 pub use predictor::{Bimodal, Gshare, Predictor, PredictorKind, Tournament, TwoLevelLocal};
 pub use reference::ReferenceSimulator;
