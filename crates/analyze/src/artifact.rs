@@ -15,14 +15,14 @@
 //!   reader behind `ResultStore::get`: the header id matches the
 //!   filename and the body matches the header checksum; any embedded
 //!   cross-performance matrix must also be well-formed;
-//! * **measured results** (`measured*.json`) — the envelope checksum
-//!   recomputes from the payload, every design point and realized
+//! * **measured results** (`measured*.json`) — [`open_measured`], the
+//!   reader behind `load_measured`: the envelope checksum recomputes
+//!   from the payload; then every design point and realized
 //!   configuration lies inside the model domains (clock range,
 //!   candidate associativities/blocks, CACTI size lists, `iq ≤ rob`,
 //!   `L2 ≥ L1`), and the matrix holds no NaN, non-positive, or
 //!   undocumented-subnormal IPT (only [`FAILED_CELL_IPT`] marks a
-//!   failed cell). The envelope's reader lives in `xps-bench`, which
-//!   depends on this crate, so its checksum is re-derived here.
+//!   failed cell).
 //!
 //! Artifacts cannot carry `xps-allow` comments, so every artifact
 //! finding is deny severity: a bad artifact is corrupt, not stylistic.
@@ -31,8 +31,8 @@ use crate::diag::{Finding, Report, Severity};
 use serde::Value;
 use std::path::Path;
 use xps_core::cacti::fit;
-use xps_core::explore::{fnv64, parse_journal, JournalError};
-use xps_core::FAILED_CELL_IPT;
+use xps_core::explore::{parse_journal, EnvelopeError, JournalError};
+use xps_core::{open_measured, FAILED_CELL_IPT};
 use xps_serve::decode_record;
 
 /// Every rule id the artifact checker can emit. Part of the known-id
@@ -262,40 +262,29 @@ fn check_store_record(rel: &str, id: &str, raw: &[u8], out: &mut Vec<Finding>) {
 // measured results
 
 fn check_measured(rel: &str, raw: &[u8], out: &mut Vec<Finding>) {
-    let parsed = std::str::from_utf8(raw).map(serde_json::from_str::<Value>);
-    let Ok(Ok(v)) = parsed else {
-        out.push(deny(
-            rel,
-            1,
-            "measured-envelope",
-            "measured-results file is not valid JSON".to_string(),
-            "re-run the measurement; the file is torn",
-        ));
-        return;
-    };
-    // Legacy bare format (no envelope) still validates domains.
-    let measured = match (v.member("crc"), v.member("measured")) {
-        (Ok(crc), Ok(measured)) => {
-            let crc = crc.as_str().unwrap_or_default().to_string();
-            // The envelope checksum is FNV-64 over the *compact*
-            // serialization of the payload; the vendored serde_json
-            // formats floats shortest-round-trip, so the bytes
-            // recompute exactly from the parsed tree.
-            let canonical =
-                serde_json::to_string(measured).unwrap_or_else(|e| format!("unserializable: {e}"));
-            let expect = format!("{:016x}", fnv64(0, canonical.as_bytes()));
-            if crc != expect {
-                out.push(deny(
-                    rel,
-                    1,
-                    "measured-envelope",
-                    format!("envelope checksum `{crc}` does not match payload (`{expect}`)"),
-                    "the results were edited after measurement; re-run or restore them",
-                ));
-            }
-            measured
+    let measured = match open_measured(raw) {
+        Ok(measured) => measured,
+        Err(EnvelopeError::Torn(_)) => {
+            out.push(deny(
+                rel,
+                1,
+                "measured-envelope",
+                "measured-results file is not valid JSON".to_string(),
+                "re-run the measurement; the file is torn",
+            ));
+            return;
         }
-        _ => &v,
+        Err(EnvelopeError::Checksum { stored, computed }) => {
+            out.push(deny(
+                rel,
+                1,
+                "measured-envelope",
+                format!("envelope checksum `{stored}` does not match payload (`{computed}`)"),
+                "the results were edited after measurement; re-run or restore them",
+            ));
+            // The payload is unchecked: its domains mean nothing.
+            return;
+        }
     };
     if let Ok(matrix) = measured.member("matrix") {
         check_matrix(rel, "measured.matrix", matrix, out);
@@ -587,7 +576,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::path::PathBuf;
-    use xps_core::explore::Journal;
+    use xps_core::explore::{fnv64, Journal};
     use xps_serve::{body_checksum, content_id, ResultStore};
 
     fn tmp(name: &str) -> PathBuf {
@@ -794,6 +783,44 @@ mod tests {
             let r = check_dir(&dir).expect("walk");
             let flagged = r.findings.iter().any(|f| f.rule == "journal-record");
             let refused = parse_journal(Path::new("x.jsonl"), &bytes).is_err();
+            prop_assert_eq!(flagged, refused, "{:?}", r.findings);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// The checker opens a measured-results file with
+        /// `open_measured`, the decoder behind `load_measured`: it
+        /// reports `measured-envelope` exactly when that decoder
+        /// refuses the file as torn or edited.
+        #[test]
+        fn measured_findings_agree_with_the_shared_decoder(
+            noise in proptest::collection::vec(any::<u8>(), 64),
+            mutate in any::<bool>(),
+            at in 0usize..1_000_000,
+            digit in proptest::sample::select(b"0123456789".to_vec()),
+            tear in any::<bool>(),
+            cut in 0usize..1_000_000,
+        ) {
+            let mut bytes = if mutate {
+                // The tracked quick campaign with one byte replaced by
+                // a digit: in a number, a string or the crc that keeps
+                // the JSON valid and breaks the checksum.
+                let quick = Path::new(env!("CARGO_MANIFEST_DIR"))
+                    .join("../../results/measured-quick.json");
+                let mut bytes = std::fs::read(quick).expect("tracked quick results");
+                let at = at % bytes.len();
+                bytes[at] = digit;
+                bytes
+            } else {
+                noise
+            };
+            if tear {
+                bytes.truncate(bytes.len() - cut % (bytes.len() + 1));
+            }
+            let dir = tmp(&format!("agree-measured-{at}-{digit}-{cut}"));
+            std::fs::write(dir.join("measured.json"), &bytes).expect("write");
+            let r = check_dir(&dir).expect("walk");
+            let flagged = r.findings.iter().any(|f| f.rule == "measured-envelope");
+            let refused = open_measured(&bytes).is_err();
             prop_assert_eq!(flagged, refused, "{:?}", r.findings);
             let _ = std::fs::remove_dir_all(&dir);
         }

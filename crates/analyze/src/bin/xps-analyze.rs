@@ -1,29 +1,22 @@
 //! Standalone entry point for the static analyzer.
 //!
 //! ```text
-//! xps-analyze source [ROOT] [--incremental] [--cache PATH]
-//!                             lint workspace sources (default: .)
+//! xps-analyze source [ROOT]   lint workspace sources (default: .)
 //! xps-analyze data DIR...     validate on-disk artifacts
 //! xps-analyze rules           print the rule catalog (human form)
 //! xps-analyze --catalog       print the rule catalog as markdown
 //! ```
 //!
 //! `--json` switches diagnostics to the machine-readable document.
-//! `--incremental` reuses per-file summaries keyed by content hash
-//! (`--cache PATH` overrides the default `ROOT/target/analyze-cache.json`).
 //! Exit code 0 means no deny-severity findings, 1 means at least one,
 //! 2 means the analyzer itself could not run (bad usage, unreadable
 //! tree).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
-use xps_analyze::{
-    all_rules, analyze_workspace, artifact, catalog_markdown, semantic_rules, Report,
-    WorkspaceOptions,
-};
+use xps_analyze::{all_rules, analyze_source, artifact, catalog_markdown, semantic_rules, Report};
 
-const USAGE: &str = "usage: xps-analyze [--json] \
-                     <source [ROOT] [--incremental] [--cache PATH] | data DIR... | rules | --catalog>";
+const USAGE: &str = "usage: xps-analyze [--json] <source [ROOT] | data DIR... | rules | --catalog>";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,29 +26,14 @@ fn main() -> ExitCode {
         print!("{}", catalog_markdown());
         return ExitCode::SUCCESS;
     }
-    let incremental = args.iter().any(|a| a == "--incremental");
-    args.retain(|a| a != "--incremental");
-    let mut cache_path: Option<PathBuf> = None;
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
-        if i + 1 >= args.len() {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-        cache_path = Some(PathBuf::from(args.remove(i + 1)));
-        args.remove(i);
-    }
     let Some((mode, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     match mode.as_str() {
-        "source" => {
+        "source" if rest.len() <= 1 => {
             let root = rest.first().map_or(".", String::as_str);
-            let opts = WorkspaceOptions {
-                incremental,
-                cache_path,
-            };
-            match analyze_workspace(Path::new(root), &opts) {
+            match analyze_source(Path::new(root)) {
                 Ok(report) => emit(&report, "source", json),
                 Err(e) => fail(&e),
             }

@@ -27,10 +27,9 @@
 //!   (`file:line` per hop); [`locks`] builds the
 //!   lock-acquisition-order graph, reports cycles (`lock-discipline`
 //!   inversions) and blocking operations performed while a guard is
-//!   live. [`analyze_workspace`] runs everything, optionally
-//!   incrementally: [`cache`] keys each file's summary by content
-//!   hash and rules fingerprint, so unchanged files skip the
-//!   lex/parse work while reports stay byte-identical to a cold run.
+//!   live. [`analyze_source`] runs everything: it lexes, parses and
+//!   summarizes every file, then runs both passes over the full
+//!   summary set.
 //! * **Artifact checker** — [`artifact::check_dir`] validates
 //!   journals, store records, and measured-results files against
 //!   their checksum formats and the model domains, without running a
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod cache;
 pub mod diag;
 pub mod graph;
 pub mod lexer;
@@ -156,96 +154,41 @@ pub fn analyze_file(rel: &Path, class: FileClass, src: &str) -> Vec<Finding> {
     semantic_report(summaries).findings
 }
 
-/// Options for [`analyze_workspace`].
-#[derive(Debug, Default, Clone)]
-pub struct WorkspaceOptions {
-    /// Reuse and refresh a per-file summary cache.
-    pub incremental: bool,
-    /// Where the cache lives; `None` with `incremental` means
-    /// `<root>/target/analyze-cache.json`.
-    pub cache_path: Option<PathBuf>,
-}
-
 /// Run the full analysis — textual rules per file, then the
 /// determinism-provenance and lock-discipline passes over the
 /// cross-crate call graph — over every workspace `.rs` file under
-/// `root`. With `opts.incremental`, unchanged files (by content hash)
-/// reuse their cached summaries and only the graph is rebuilt.
+/// `root`.
 ///
 /// # Errors
 ///
 /// Returns a message when the tree cannot be walked or a source file
 /// cannot be read — an unreadable workspace must not report "clean".
-pub fn analyze_workspace(root: &Path, opts: &WorkspaceOptions) -> Result<Report, String> {
-    let cache_path = opts
-        .cache_path
-        .clone()
-        .unwrap_or_else(|| root.join("target/analyze-cache.json"));
-    let old_cache = if opts.incremental {
-        cache::Cache::load(&cache_path).unwrap_or_default()
-    } else {
-        cache::Cache::default()
-    };
-    let mut new_cache = cache::Cache::default();
+pub fn analyze_source(root: &Path) -> Result<Report, String> {
     let mut summaries: Vec<FileSummary> = Vec::new();
     for rel in workspace_sources(root)? {
         let class = classify_path(&rel).unwrap_or(FileClass::Lib);
-        let relpath = rel.display().to_string();
         let src = std::fs::read_to_string(root.join(&rel))
             .map_err(|e| format!("read {}: {e}", rel.display()))?;
-        let crate_name = crate_name_for(&rel);
-        let hash = cache::content_hash(&crate_name, &relpath, &src);
-        let summary = match old_cache.entries.get(&relpath) {
-            Some((h, s)) if *h == hash => s.clone(),
-            _ => parse::summarize_file(&relpath, class, &crate_name, &src),
-        };
-        if opts.incremental {
-            new_cache.entries.insert(relpath, (hash, summary.clone()));
-        }
-        summaries.push(summary);
-    }
-    if opts.incremental {
-        new_cache.save(&cache_path)?;
+        summaries.push(parse::summarize_file(
+            &rel.display().to_string(),
+            class,
+            &crate_name_for(&rel),
+            &src,
+        ));
     }
     Ok(semantic_report(summaries))
 }
 
-/// Backwards-compatible entry point: a cold (non-incremental)
-/// [`analyze_workspace`] run.
-///
-/// # Errors
-///
-/// See [`analyze_workspace`].
-pub fn analyze_source(root: &Path) -> Result<Report, String> {
-    analyze_workspace(root, &WorkspaceOptions::default())
-}
-
-/// Findings from a summary set: cached/fresh textual findings, the
-/// two semantic passes over the rebuilt graph, then staleness warns
+/// Findings from a summary set: the per-file textual findings, the
+/// two semantic passes over the linked graph, then staleness warns
 /// for suppressions no pass consumed.
-fn semantic_report(summaries: Vec<FileSummary>) -> Report {
+fn semantic_report(mut summaries: Vec<FileSummary>) -> Report {
     let mut report = Report {
         files_checked: summaries.len(),
         ..Report::default()
     };
-    for s in &summaries {
-        for f in &s.textual {
-            // Rule ids round-tripping through the cache arrive as
-            // strings; anything unknown would mean a cache from a
-            // different rule set, which the fingerprint already
-            // prevents.
-            if let Some(rule) = rules::static_rule_id(&f.rule) {
-                report.findings.push(Finding {
-                    file: s.relpath.clone(),
-                    line: f.line,
-                    col: f.col,
-                    rule,
-                    severity: f.severity,
-                    message: f.message.clone(),
-                    suggestion: f.suggestion.clone(),
-                });
-            }
-        }
+    for s in &mut summaries {
+        report.findings.append(&mut s.textual);
     }
     let g = graph::build(&summaries);
     let (taint_findings, taint_used) = taint::check(&summaries, &g);

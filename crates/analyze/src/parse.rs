@@ -9,38 +9,17 @@
 //! single forward walk over the significant tokens with brace
 //! matching. No expression grammar, no types, no macros expanded.
 //!
-//! Everything produced here is owned (`String`, not `&str`) so a
-//! summary can round-trip through the incremental cache
-//! ([`crate::cache`]) and be rebuilt from disk without re-lexing the
-//! file.
+//! Everything produced here is owned (`String`, not `&str`), so a
+//! summary outlives the token stream it was built from.
 
-use crate::diag::Severity;
+use crate::diag::Finding;
 use crate::lexer::lex;
 use crate::rules::{self, FileClass, FileCtx};
-
-/// A finding that owns its strings — the cacheable form of
-/// [`crate::diag::Finding`], with the rule id as a `String` so it can
-/// round-trip through JSON (restored via [`rules::static_rule_id`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedFinding {
-    /// Rule id as text.
-    pub rule: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
-    /// Severity of the owning rule.
-    pub severity: Severity,
-    /// What is wrong.
-    pub message: String,
-    /// How to fix it.
-    pub suggestion: String,
-}
 
 /// An `xps-allow` with its textual-pass usage already decided.
 /// Whether it is *stale* is decided only after the semantic passes
 /// have had their chance to use it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct SuppressionState {
     /// Rule id the allow names.
     pub rule: String,
@@ -51,7 +30,7 @@ pub struct SuppressionState {
 }
 
 /// One expanded `use` entry: `alias` names `path` in this file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Import {
     /// Local name the import binds (`as` alias or last segment).
     pub alias: String,
@@ -86,7 +65,7 @@ impl LockKind {
 }
 
 /// One lock acquisition and the extent its guard stays live.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct LockAcq {
     /// Receiver name: a field/local ident, or `f()` for a
     /// call-returned lock (`self.campaign_lock(id).lock()`).
@@ -111,7 +90,7 @@ pub struct LockAcq {
 }
 
 /// A call expression inside a fn body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Call {
     /// Path segments for `a::b::f(…)` calls; empty for method calls.
     pub path: Vec<String>,
@@ -128,7 +107,7 @@ pub struct Call {
 }
 
 /// A determinism source or sink site inside a fn body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Mark {
     /// Human-readable description of the site (`Instant::now()`,
     /// `unordered iteration over jobs`, `println!`, …).
@@ -140,7 +119,7 @@ pub struct Mark {
 }
 
 /// A potentially-blocking operation inside a fn body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Blocking {
     /// The operation (`recv`, `join`, `sleep`, …).
     pub what: String,
@@ -157,7 +136,7 @@ pub struct Blocking {
 }
 
 /// Everything the semantic passes need to know about one fn.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct FnSummary {
     /// Fn name.
     pub name: String,
@@ -185,15 +164,14 @@ pub struct FnSummary {
     pub blocking: Vec<Blocking>,
 }
 
-/// The owned, cacheable analysis summary of one source file.
-#[derive(Debug, Clone, PartialEq)]
+/// The owned analysis summary of one source file.
+#[derive(Debug)]
 pub struct FileSummary {
     /// Workspace-relative path.
     pub relpath: String,
     /// Build role.
     pub class: FileClass,
-    /// Lib-ident of the owning crate (`xps_serve`), folded into the
-    /// cache hash so a moved file re-summarizes.
+    /// Lib-ident of the owning crate (`xps_serve`).
     pub crate_name: String,
     /// Module path of the file within its crate.
     pub module: Vec<String>,
@@ -206,7 +184,7 @@ pub struct FileSummary {
     /// Every `xps-allow` with textual usage decided.
     pub suppressions: Vec<SuppressionState>,
     /// Unsuppressed findings of the per-file textual pass.
-    pub textual: Vec<OwnedFinding>,
+    pub textual: Vec<Finding>,
 }
 
 /// Idents that draw from ambient entropy (taint sources anywhere,
@@ -290,17 +268,7 @@ const KEYWORDS: [&str; 30] = [
 pub fn summarize_file(relpath: &str, class: FileClass, crate_name: &str, src: &str) -> FileSummary {
     let tokens = lex(src);
     let ctx = rules::file_ctx(relpath, class, &tokens);
-    let textual = rules::lint_file_raw(&ctx)
-        .into_iter()
-        .map(|f| OwnedFinding {
-            rule: f.rule.to_string(),
-            line: f.line,
-            col: f.col,
-            severity: f.severity,
-            message: f.message,
-            suggestion: f.suggestion,
-        })
-        .collect();
+    let textual = rules::lint_file_raw(&ctx);
     let suppressions = ctx
         .suppressions
         .iter()

@@ -170,16 +170,6 @@ pub fn known_rule_ids() -> Vec<&'static str> {
     ids
 }
 
-/// Map a rule id back to its registry's `&'static str` — the identity
-/// every [`Finding`] carries. Used when findings round-trip through
-/// the incremental cache, where ids arrive as parsed strings.
-pub fn static_rule_id(id: &str) -> Option<&'static str> {
-    known_rule_ids()
-        .into_iter()
-        .chain(["malformed-suppression", "unused-suppression"])
-        .find(|k| *k == id)
-}
-
 /// The rule catalog as a markdown table: every textual rule, semantic
 /// pass, artifact check, and meta rule, with severity and summary.
 /// `xps-analyze --catalog` prints exactly this, and the committed

@@ -192,6 +192,19 @@ fn binary_exits_nonzero_on_seeded_source_violations() {
     assert!(stdout.contains("help:"), "diagnostics carry help: {stdout}");
 }
 
+/// A stray argument after the root is bad usage, not something to
+/// ignore: a script still passing a flag the binary no longer reads
+/// must fail rather than run with a different meaning.
+#[test]
+fn binary_refuses_extra_source_arguments() {
+    let out = Command::new(env!("CARGO_BIN_EXE_xps-analyze"))
+        .args(["source", ".", "--incremental"])
+        .output()
+        .expect("run xps-analyze");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}
+
 #[test]
 fn binary_json_output_is_machine_readable() {
     let out = Command::new(env!("CARGO_BIN_EXE_xps-analyze"))

@@ -2,19 +2,18 @@
 //! workspace: the determinism-provenance chain must be reported with
 //! its exact three-hop path (file:line per hop), the seeded lock-order
 //! inversion must be detected, and the whole report must be
-//! byte-identical across runs and between incremental and cold cache
-//! modes.
+//! byte-identical across runs.
 
 use std::path::{Path, PathBuf};
 
-use xps_analyze::{analyze_workspace, Finding, WorkspaceOptions};
+use xps_analyze::{analyze_source, Finding};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/semantic")
 }
 
 fn cold_findings() -> Vec<Finding> {
-    analyze_workspace(&fixture_root(), &WorkspaceOptions::default())
+    analyze_source(&fixture_root())
         .expect("walk semantic fixture")
         .findings
 }
@@ -77,31 +76,13 @@ fn seeded_lock_order_inversion_is_detected() {
 }
 
 #[test]
-fn report_json_is_byte_identical_across_runs_and_cache_modes() {
+fn report_json_is_byte_identical_across_runs() {
     let root = fixture_root();
-    let cold_a = analyze_workspace(&root, &WorkspaceOptions::default())
+    let cold_a = analyze_source(&root)
         .expect("cold run")
         .render_json("source");
-    let cold_b = analyze_workspace(&root, &WorkspaceOptions::default())
+    let cold_b = analyze_source(&root)
         .expect("cold run")
         .render_json("source");
     assert_eq!(cold_a, cold_b, "cold runs must be byte-identical");
-
-    let scratch = std::env::temp_dir().join(format!("xps-analyze-sem-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("mkdir scratch");
-    let opts = WorkspaceOptions {
-        incremental: true,
-        cache_path: Some(scratch.join("cache.json")),
-    };
-    // First incremental run populates the cache, the second consumes
-    // every summary from it; both must match the cold report exactly.
-    let warm_a = analyze_workspace(&root, &opts)
-        .expect("incremental run")
-        .render_json("source");
-    let warm_b = analyze_workspace(&root, &opts)
-        .expect("cached run")
-        .render_json("source");
-    std::fs::remove_dir_all(&scratch).ok();
-    assert_eq!(cold_a, warm_a, "incremental (cold cache) must match cold");
-    assert_eq!(cold_a, warm_b, "incremental (warm cache) must match cold");
 }

@@ -5,18 +5,13 @@ use crate::cli::{Opts, Outcome};
 /// `repro analyze`: the project's static analyzer — lint every
 /// workspace source against the textual rule registry, run the
 /// determinism-provenance and lock-discipline passes over the
-/// cross-crate call graph (incrementally: unchanged files reuse their
-/// cached summaries from `target/analyze-cache.json`), then validate
+/// cross-crate call graph, then validate
 /// the on-disk artifacts under `results/` (and the serve data dir,
 /// when present) against the model domains. Exits non-zero on any
 /// deny-severity finding, like CI does.
 pub fn analyze(_: &Opts) -> Outcome {
     let root = std::path::Path::new(".");
-    let opts = xps_analyze::WorkspaceOptions {
-        incremental: true,
-        cache_path: None,
-    };
-    let source = xps_analyze::analyze_workspace(root, &opts)?;
+    let source = xps_analyze::analyze_source(root)?;
     print!("{}", source.render_human("source"));
     let mut data = xps_analyze::Report::default();
     for dir in ["results", "serve-data"] {

@@ -10,13 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use xps_core::communal::CrossPerfMatrix;
-use xps_core::explore::CustomizedCore;
-use xps_core::explore::{fnv64, write_atomic};
-use xps_core::pipeline::PipelineResult;
+use xps_core::explore::{write_atomic, EnvelopeError};
+use xps_core::open_measured;
+pub use xps_core::Measured;
 
 /// Default location of persisted measured results, relative to the
 /// working directory.
@@ -92,42 +91,6 @@ impl std::error::Error for MeasuredError {
     }
 }
 
-/// A measured exploration campaign, as persisted by `repro explore`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Measured {
-    /// Customized cores, one per benchmark.
-    pub cores: Vec<CustomizedCore>,
-    /// Measured cross-configuration matrix.
-    pub matrix: CrossPerfMatrix,
-    /// Whether the campaign used the quick (reduced-budget) settings.
-    pub quick: bool,
-}
-
-impl From<(PipelineResult, bool)> for Measured {
-    fn from((r, quick): (PipelineResult, bool)) -> Measured {
-        Measured {
-            cores: r.cores,
-            matrix: r.matrix,
-            quick,
-        }
-    }
-}
-
-/// On-disk envelope for measured results: the payload plus a checksum
-/// over its canonical (compact) serialization, so truncation or a
-/// stray edit is detected on load instead of silently re-explored
-/// over.
-#[derive(Serialize, Deserialize)]
-struct Checksummed {
-    crc: String,
-    measured: Measured,
-}
-
-fn measured_crc(m: &Measured) -> Result<String, String> {
-    let canonical = serde_json::to_string(m).map_err(|e| e.to_string())?;
-    Ok(format!("{:016x}", fnv64(0, canonical.as_bytes())))
-}
-
 /// Save measured results as checksummed JSON, atomically: the file is
 /// written to a temporary sibling and renamed into place, so a crash
 /// mid-save leaves the previous results intact rather than a
@@ -137,16 +100,9 @@ fn measured_crc(m: &Measured) -> Result<String, String> {
 ///
 /// Returns [`MeasuredError`] on I/O or serialization failure.
 pub fn save_measured(m: &Measured, path: &Path) -> Result<(), MeasuredError> {
-    let envelope = Checksummed {
-        crc: measured_crc(m).map_err(|detail| MeasuredError::Format {
-            path: path.to_path_buf(),
-            detail,
-        })?,
-        measured: m.clone(),
-    };
-    let json = serde_json::to_string_pretty(&envelope).map_err(|e| MeasuredError::Format {
+    let json = m.encode().map_err(|detail| MeasuredError::Format {
         path: path.to_path_buf(),
-        detail: e.to_string(),
+        detail,
     })?;
     write_atomic(path, &json).map_err(|source| MeasuredError::Io {
         path: path.to_path_buf(),
@@ -165,27 +121,21 @@ pub fn save_measured(m: &Measured, path: &Path) -> Result<(), MeasuredError> {
 /// campaign yet"), `Format` when it is not measured-results JSON, and
 /// `Integrity` when the checksum does not match the payload.
 pub fn load_measured(path: &Path) -> Result<Measured, MeasuredError> {
-    let json = std::fs::read_to_string(path).map_err(|source| MeasuredError::Io {
+    let raw = std::fs::read(path).map_err(|source| MeasuredError::Io {
         path: path.to_path_buf(),
         source,
     })?;
-    if let Ok(envelope) = serde_json::from_str::<Checksummed>(&json) {
-        let expect = measured_crc(&envelope.measured).map_err(|detail| MeasuredError::Format {
-            path: path.to_path_buf(),
-            detail,
-        })?;
-        if envelope.crc != expect {
-            return Err(MeasuredError::Integrity {
-                path: path.to_path_buf(),
-            });
-        }
-        return Ok(envelope.measured);
-    }
-    // Pre-envelope files are a bare `Measured` object.
-    serde_json::from_str(&json).map_err(|e| MeasuredError::Format {
+    let format = |detail: String| MeasuredError::Format {
         path: path.to_path_buf(),
-        detail: e.to_string(),
-    })
+        detail,
+    };
+    let payload = open_measured(&raw).map_err(|e| match e {
+        EnvelopeError::Torn(detail) => format(detail),
+        EnvelopeError::Checksum { .. } => MeasuredError::Integrity {
+            path: path.to_path_buf(),
+        },
+    })?;
+    Measured::from_value(&payload).map_err(format)
 }
 
 /// The default measured-results path.

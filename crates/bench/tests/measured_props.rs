@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xps_bench::{load_measured, MeasuredError};
+use xps_bench::{load_measured, save_measured, MeasuredError};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -74,4 +74,15 @@ proptest! {
 #[test]
 fn the_tracked_envelope_loads() {
     load(&quick()).expect("the tracked quick results load");
+}
+
+#[test]
+fn a_resave_reproduces_the_tracked_file() {
+    let path = tmp();
+    std::fs::write(&path, quick()).expect("write");
+    let m = load_measured(&path).expect("the tracked quick results load");
+    save_measured(&m, &path).expect("save");
+    let again = std::fs::read(&path).expect("read");
+    let _ = std::fs::remove_file(&path);
+    assert!(again == quick(), "a re-save must reproduce the file");
 }

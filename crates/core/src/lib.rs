@@ -2,8 +2,7 @@
 //!
 //! The facade crate of the xp-scalar reproduction (Najaf-abadi &
 //! Rotenberg, *Configurational Workload Characterization*, ISPASS
-//! 2008). It re-exports every subsystem and adds two things of its
-//! own:
+//! 2008). It re-exports every subsystem and adds, of its own:
 //!
 //! * [`paper`] — the paper's published data (Table 4 customized
 //!   configurations, the Table 5 cross-configuration IPT matrix, and
@@ -17,7 +16,9 @@
 //!   the whole methodology of the paper run on this repository's own
 //!   substrate;
 //! * [`report`] — the Table 7 summary (ideal vs. homogeneous vs.
-//!   complete-search vs. surrogate dual-core designs).
+//!   complete-search vs. surrogate dual-core designs);
+//! * [`measured`] — a measured campaign's persisted form and the one
+//!   decoder of its checksummed file.
 //!
 //! ## Quick start
 //!
@@ -36,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod measured;
 pub mod paper;
 pub mod pipeline;
 pub mod report;
@@ -54,6 +56,7 @@ pub use xps_trace as trace;
 pub use xps_workload as workload;
 
 pub use error::PipelineError;
+pub use measured::{open_measured, Measured};
 pub use pipeline::{
     cross_matrix, cross_matrix_recoverable, cross_matrix_with, Pipeline, PipelineResult,
     FAILED_CELL_IPT,

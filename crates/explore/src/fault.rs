@@ -86,13 +86,13 @@ impl FaultPlan {
         for field in spec.split(',').filter(|f| !f.trim().is_empty()) {
             let (key, value) = field
                 .split_once('=')
-                .ok_or_else(|| format!("fault spec field `{field}` is not key=value"))?;
+                .ok_or_else(|| format!("fault spec field {field:?} is not key=value"))?;
             match key.trim() {
                 "rate" => {
                     let pct: u8 = value
                         .trim()
                         .parse()
-                        .map_err(|_| format!("fault rate `{value}` is not a percentage"))?;
+                        .map_err(|_| format!("fault rate {value:?} is not a percentage"))?;
                     if pct > 100 {
                         return Err(format!("fault rate {pct} exceeds 100%"));
                     }
@@ -102,7 +102,7 @@ impl FaultPlan {
                     plan.seed = value
                         .trim()
                         .parse()
-                        .map_err(|_| format!("fault seed `{value}` is not an integer"))?;
+                        .map_err(|_| format!("fault seed {value:?} is not an integer"))?;
                 }
                 "attempts" => {
                     plan.attempts = if value.trim() == "forever" {
@@ -111,20 +111,20 @@ impl FaultPlan {
                         value
                             .trim()
                             .parse()
-                            .map_err(|_| format!("fault attempts `{value}` is not an integer"))?
+                            .map_err(|_| format!("fault attempts {value:?} is not an integer"))?
                     };
                 }
                 "kind" => {
                     plan.kind = match value.trim() {
                         "panic" => FaultKind::Panic,
                         "error" => FaultKind::Error,
-                        other => return Err(format!("fault kind `{other}` (use panic|error)")),
+                        other => return Err(format!("fault kind {other:?} (use panic|error)")),
                     };
                 }
                 "target" => plan.targets.push(value.trim().to_string()),
                 other => {
                     return Err(format!(
-                        "unknown fault field `{other}` (use rate/seed/attempts/kind/target)"
+                        "unknown fault field {other:?} (use rate/seed/attempts/kind/target)"
                     ))
                 }
             }

@@ -96,8 +96,8 @@ impl std::error::Error for JournalError {
 }
 
 /// FNV-1a over `bytes`, folded in after `seed`. Used for journal
-/// record checksums and for deterministic fault selection; also
-/// exported for the measured-results file in the bench harness.
+/// record checksums, checksummed documents and deterministic fault
+/// selection.
 pub fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

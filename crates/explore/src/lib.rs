@@ -51,6 +51,7 @@
 
 mod anneal;
 mod cache;
+mod envelope;
 mod error;
 mod explorer;
 mod fault;
@@ -64,6 +65,7 @@ mod task;
 
 pub use anneal::{anneal, anneal_with, score, score_with, AnnealOptions, AnnealResult, Objective};
 pub use cache::{CacheCounters, EvalCache};
+pub use envelope::{open_checksummed, seal_checksummed, EnvelopeError};
 pub use error::{ExploreError, TaskError, TaskFailure};
 pub use explorer::{Campaign, CustomizedCore, ExplorationResult, ExploreOptions, ExploreStats};
 pub use fault::{FaultKind, FaultPlan};

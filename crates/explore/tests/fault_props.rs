@@ -1,6 +1,6 @@
 //! Hostile input for the `XPS_FAULTS` spec parser: on any string
-//! `FaultPlan::parse` returns a plan or an error naming what it
-//! refused, never a panic, and an accepted plan answers every task
+//! `FaultPlan::parse` returns a plan or a one-line error naming what
+//! it refused, never a panic, and an accepted plan answers every task
 //! key.
 
 use proptest::collection::vec;
@@ -33,6 +33,8 @@ fn arb_spec() -> impl Strategy<Value = String> {
         "99999999999999999999",
         "",
         "anneal#",
+        "\n",
+        "\r",
     ]);
     (0usize..16).prop_flat_map(move |n| {
         vec((token.clone(), any::<u8>()), n).prop_map(|parts| {
@@ -62,7 +64,11 @@ proptest! {
                         let _ = plan.injects("anneal#0/1", attempt);
                     }
                 }
-                Err(e) => prop_assert!(!e.is_empty()),
+                Err(e) => {
+                    prop_assert!(!e.is_empty());
+                    // A refusal is one line, whatever the spec held.
+                    prop_assert!(!e.contains(['\n', '\r']), "{e:?}");
+                }
             }
         }
     }

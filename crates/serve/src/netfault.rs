@@ -77,12 +77,12 @@ impl NetFaultPlan {
         for field in spec.split(',').filter(|f| !f.trim().is_empty()) {
             let (key, value) = field
                 .split_once('=')
-                .ok_or_else(|| format!("net fault spec field `{field}` is not key=value"))?;
+                .ok_or_else(|| format!("net fault spec field {field:?} is not key=value"))?;
             let pct = |what: &str| -> Result<u8, String> {
                 let pct: u8 = value
                     .trim()
                     .parse()
-                    .map_err(|_| format!("net fault {what} `{value}` is not a percentage"))?;
+                    .map_err(|_| format!("net fault {what} {value:?} is not a percentage"))?;
                 if pct > 100 {
                     return Err(format!("net fault {what} {pct} exceeds 100%"));
                 }
@@ -98,17 +98,17 @@ impl NetFaultPlan {
                     plan.seed = value
                         .trim()
                         .parse()
-                        .map_err(|_| format!("net fault seed `{value}` is not an integer"))?;
+                        .map_err(|_| format!("net fault seed {value:?} is not an integer"))?;
                 }
                 "delay_ms" => {
                     plan.delay_ms = value
                         .trim()
                         .parse()
-                        .map_err(|_| format!("net fault delay_ms `{value}` is not an integer"))?;
+                        .map_err(|_| format!("net fault delay_ms {value:?} is not an integer"))?;
                 }
                 other => {
                     return Err(format!(
-                        "unknown net fault field `{other}` \
+                        "unknown net fault field {other:?} \
                          (use drop/delay/truncate/duplicate/garbage/seed/delay_ms)"
                     ))
                 }

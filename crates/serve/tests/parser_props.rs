@@ -58,6 +58,8 @@ fn arb_net_spec() -> impl Strategy<Value = String> {
         "99999999999999999999",
         "",
         "x",
+        "\n",
+        "\r",
     ]);
     (0usize..16).prop_flat_map(move |n| {
         vec((token.clone(), any::<u8>()), n).prop_map(|parts| {
@@ -141,9 +143,13 @@ proptest! {
     #[test]
     fn net_fault_spec_parse_never_panics(spec in arb_net_spec(), bytes in arb_bytes()) {
         for spec in [spec, String::from_utf8_lossy(&bytes).into_owned()] {
-            if let Ok(plan) = NetFaultPlan::parse(&spec) {
+            match NetFaultPlan::parse(&spec) {
                 // An accepted plan is usable: any key draws a fault or none.
-                let _ = plan.injects("task#0/0@0");
+                Ok(plan) => {
+                    let _ = plan.injects("task#0/0@0");
+                }
+                // A refusal is one line, whatever the spec held.
+                Err(e) => prop_assert!(!e.contains(['\n', '\r']), "{e:?}"),
             }
         }
     }

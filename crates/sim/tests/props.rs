@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use xps_cacti::CacheGeometry;
 use xps_sim::{
-    cache_state_bytes, lockstep_groups, CacheConfig, CoreConfig, ReferenceSimulator, Simulator,
+    cache_state_bytes, lockstep_groups, CacheConfig, CoreConfig, DataCache, ReferenceSimulator,
+    Simulator,
 };
 use xps_workload::{spec, BranchInfo, MicroOp, OpClass, TraceGenerator, REG_COUNT};
 
@@ -198,6 +199,45 @@ proptest! {
         for pair in groups.windows(2) {
             let grown: u64 = bytes[pair[0].start..=pair[1].start].iter().sum();
             prop_assert!(grown > max, "group {:?} could hold {}", pair[0], pair[1].start);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// LRU stack inclusion (Mattson et al., IBM Sys. J. 1970): at a
+    /// fixed set count and block size, after any access stream every
+    /// block an a-way cache holds is also held by a b-way cache with
+    /// b >= a. So a hit in the smaller cache is a hit in the larger,
+    /// and more ways never add a miss.
+    #[test]
+    fn more_ways_never_add_a_miss(
+        sets in prop::sample::select(vec![1u32, 2, 4, 8]),
+        block in prop::sample::select(vec![8u32, 64]),
+        a in 1u32..5,
+        extra in 0u32..5,
+        stream in (0usize..1_500)
+            .prop_flat_map(|n| prop::collection::vec((0u64..64, any::<u32>()), n)),
+    ) {
+        let cache = |assoc| {
+            DataCache::new(&CacheConfig {
+                geometry: CacheGeometry::new(sets, assoc, block),
+                latency: 1,
+            })
+        };
+        let (mut small, mut large) = (cache(a), cache(a + extra));
+        // Block `b`, at any byte offset inside it.
+        let addr = |b: u64, offset: u32| b * u64::from(block) + u64::from(offset % block);
+        for &(b, offset) in &stream {
+            let small_hit = small.access(addr(b, offset));
+            let large_hit = large.access(addr(b, offset));
+            prop_assert!(large_hit || !small_hit, "block {} hit only with {} ways", b, a);
+        }
+        prop_assert!(large.stats().misses <= small.stats().misses);
+        for b in 0..64 {
+            prop_assert!(large.probe(addr(b, 0)) || !small.probe(addr(b, 0)),
+                "block {} resident with {} ways, not {}", b, a, a + extra);
         }
     }
 }
