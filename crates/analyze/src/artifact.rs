@@ -15,9 +15,10 @@
 //!   reader behind `ResultStore::get`: the header id matches the
 //!   filename and the body matches the header checksum; any embedded
 //!   cross-performance matrix must also be well-formed;
-//! * **measured results** (`measured*.json`) — [`open_measured`], the
-//!   reader behind `load_measured`: the envelope checksum recomputes
-//!   from the payload; then every design point and realized
+//! * **measured results** (`measured*.json`) — [`open_measured`] and
+//!   [`Measured::from_value`], the decoders behind `load_measured`: the
+//!   envelope checksum recomputes from the payload, and the payload
+//!   decodes as a measured campaign; then every design point and realized
 //!   configuration lies inside the model domains (clock range,
 //!   candidate associativities/blocks, CACTI size lists, `iq ≤ rob`,
 //!   `L2 ≥ L1`), and the matrix holds no NaN, non-positive, or
@@ -28,11 +29,11 @@
 //! finding is deny severity: a bad artifact is corrupt, not stylistic.
 
 use crate::diag::{Finding, Report, Severity};
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::path::Path;
 use xps_core::cacti::fit;
 use xps_core::explore::{parse_journal, EnvelopeError, JournalError};
-use xps_core::{open_measured, FAILED_CELL_IPT};
+use xps_core::{open_measured, Measured, FAILED_CELL_IPT};
 use xps_serve::decode_record;
 
 /// Every rule id the artifact checker can emit. Part of the known-id
@@ -65,7 +66,8 @@ pub(crate) const RULE_SUMMARIES: [(&str, &str); 5] = [
     ),
     (
         "measured-envelope",
-        "a measured-results envelope whose checksum does not recompute from its payload",
+        "a measured-results envelope whose checksum does not recompute from its payload, \
+         or whose payload is not a measured campaign (the file load_measured would refuse)",
     ),
     (
         "store-record",
@@ -286,6 +288,15 @@ fn check_measured(rel: &str, raw: &[u8], out: &mut Vec<Finding>) {
             return;
         }
     };
+    if let Err(e) = Measured::from_value(&measured) {
+        out.push(deny(
+            rel,
+            1,
+            "measured-envelope",
+            format!("payload is not a measured campaign: {e}"),
+            "a measured-results file holds the cores, matrix and quick flag `repro explore` saves",
+        ));
+    }
     if let Ok(matrix) = measured.member("matrix") {
         check_matrix(rel, "measured.matrix", matrix, out);
     }
@@ -787,10 +798,10 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
 
-        /// The checker opens a measured-results file with
-        /// `open_measured`, the decoder behind `load_measured`: it
-        /// reports `measured-envelope` exactly when that decoder
-        /// refuses the file as torn or edited.
+        /// The checker reads a measured-results file with
+        /// `open_measured` and `Measured::from_value`, the decoders
+        /// behind `load_measured`: it reports `measured-envelope`
+        /// exactly when they refuse the file.
         #[test]
         fn measured_findings_agree_with_the_shared_decoder(
             noise in proptest::collection::vec(any::<u8>(), 64),
@@ -820,7 +831,7 @@ mod tests {
             std::fs::write(dir.join("measured.json"), &bytes).expect("write");
             let r = check_dir(&dir).expect("walk");
             let flagged = r.findings.iter().any(|f| f.rule == "measured-envelope");
-            let refused = open_measured(&bytes).is_err();
+            let refused = !open_measured(&bytes).is_ok_and(|v| Measured::from_value(&v).is_ok());
             prop_assert_eq!(flagged, refused, "{:?}", r.findings);
             let _ = std::fs::remove_dir_all(&dir);
         }

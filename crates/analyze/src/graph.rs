@@ -15,7 +15,6 @@
 //! diagnostic derived from the graph — is deterministic.
 
 use crate::parse::{Call, FileSummary, FnSummary};
-use crate::rules::FileClass;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a node's fn lives (for `file:line` hops in diagnostics).
@@ -32,7 +31,7 @@ pub struct NodeSite {
 /// The resolved whole-workspace call graph.
 #[derive(Debug, Default)]
 pub struct Graph {
-    /// qual → site, for every non-test fn in Lib/Bin files.
+    /// qual → site, for every non-test fn.
     pub nodes: BTreeMap<String, NodeSite>,
     /// caller qual → callee qual → first (by position) call site.
     pub edges: BTreeMap<String, BTreeMap<String, (String, u32)>>,
@@ -51,13 +50,6 @@ pub fn qual_of(file: &FileSummary, f: &FnSummary) -> String {
     parts.join("::")
 }
 
-/// Is this file part of the semantic graph? Test and example trees
-/// (and `#[test]` fns inside lib files) are out: their wall clocks
-/// and prints are harness behavior, not product behavior.
-pub fn in_graph(file: &FileSummary) -> bool {
-    matches!(file.class, FileClass::Lib | FileClass::Bin)
-}
-
 /// Build the graph over every summarized file.
 pub fn build(files: &[FileSummary]) -> Graph {
     let mut g = Graph::default();
@@ -65,9 +57,6 @@ pub fn build(files: &[FileSummary]) -> Graph {
     let mut by_name: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     let mut by_ty_name: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
-        if !in_graph(file) {
-            continue;
-        }
         for (gi, f) in file.fns.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -92,9 +81,6 @@ pub fn build(files: &[FileSummary]) -> Graph {
     }
     // Pass 2: edges.
     for file in files {
-        if !in_graph(file) {
-            continue;
-        }
         for f in &file.fns {
             if f.is_test {
                 continue;
@@ -314,14 +300,12 @@ mod tests {
         vec![
             summarize_file(
                 "crates/a/src/lib.rs",
-                FileClass::Lib,
                 "xps_a",
                 "use xps_b::helper;\n\
                  pub fn top() { helper(); }\n",
             ),
             summarize_file(
                 "crates/b/src/lib.rs",
-                FileClass::Lib,
                 "xps_b",
                 "pub fn helper() { crate::deep::emit(); }\n\
                  pub mod deep { pub fn emit() {} }\n",
@@ -362,10 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn test_fns_and_test_files_stay_out_of_the_graph() {
+    fn test_fns_stay_out_of_the_graph() {
         let fs = vec![summarize_file(
             "crates/a/src/lib.rs",
-            FileClass::Lib,
             "xps_a",
             "#[cfg(test)]\nmod tests {\n    fn probe() {}\n}\npub fn real() {}\n",
         )];

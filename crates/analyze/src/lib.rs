@@ -11,13 +11,14 @@
 //!
 //! Three layers share one diagnostic/suppression/JSON spine:
 //!
-//! * **Textual rules** — [`analyze_source`] lexes every workspace
-//!   `.rs` file with the hand-rolled lossless [`lexer`] (the workspace
-//!   is offline; no `syn`) and runs the [`rules`] registry over the
-//!   significant-token stream. Findings carry `file:line:col`, a rule
-//!   id, a message, and a suggestion; `// xps-allow(rule-id): reason`
-//!   suppresses a finding on the same or next line, and the reason is
-//!   mandatory.
+//! * **Textual rules** — [`analyze_source`] lexes every library and
+//!   binary `.rs` file of the workspace (never `tests/`, `benches/` or
+//!   `examples/`) with the hand-rolled lossless [`lexer`] (the
+//!   workspace is offline; no `syn`) and runs the [`rules`] registry
+//!   over the significant-token stream. Findings carry
+//!   `file:line:col`, a rule id, a message, and a suggestion;
+//!   `// xps-allow(rule-id): reason` suppresses a finding on the same
+//!   or next line, and the reason is mandatory.
 //! * **Semantic passes** — [`parse`] extracts items, imports, calls
 //!   and per-function marks into per-file summaries; [`graph`] links
 //!   them into a cross-crate call graph with path-qualified
@@ -35,6 +36,14 @@
 //!   their checksum formats and the model domains, without running a
 //!   simulation.
 //!
+//! Rules that only match a name are not here: clippy matches resolved
+//! paths and CI already runs it with `-D warnings`. Every library crate
+//! root denies `clippy::unwrap_used` and `clippy::expect_used`, and the
+//! `clippy.toml` files disallow raw `std::fs::write`/`File::create`
+//! (and, in the generator crates, `Instant::now`/`SystemTime::now`);
+//! an exception is `#[expect(clippy::…, reason = "…")]` on its
+//! statement.
+//!
 //! All three are exposed through the `xps-analyze` binary and the
 //! `repro analyze` subcommand; `.github/workflows/ci.yml` runs them as
 //! a required job, and `xps-analyze --catalog` emits the rule table
@@ -42,6 +51,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests stage fixture files directly"
+    )
+)]
 
 pub mod artifact;
 pub mod diag;
@@ -53,41 +74,30 @@ pub mod rules;
 pub mod taint;
 
 pub use diag::{Finding, Report, Severity};
-pub use rules::{all_rules, catalog_markdown, semantic_rules, FileClass, Rule};
+pub use rules::{all_rules, catalog_markdown, semantic_rules, Rule};
 
 use parse::FileSummary;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Directory names the source walker never descends into: build
-/// output, vendored third-party code, VCS metadata, and lint-fixture
-/// trees (which contain *seeded* violations by design).
-const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
+/// output, vendored third-party code, VCS metadata, lint-fixture trees
+/// (which contain *seeded* violations by design), and test, bench and
+/// example trees, whose clocks, prints and panics are harness
+/// behaviour, not product behaviour.
+const SKIP_DIRS: [&str; 7] = [
+    "target", "vendor", ".git", "fixtures", "tests", "benches", "examples",
+];
 
-/// Classify a workspace-relative `.rs` path into the file class that
-/// decides rule applicability, or `None` for paths the lint pass
-/// ignores entirely.
-pub fn classify_path(rel: &Path) -> Option<FileClass> {
+/// Is this workspace-relative `.rs` path product code the lint pass
+/// reads: under a crate's `src/` (library or binary), and in no
+/// skipped directory?
+pub fn is_product_source(rel: &Path) -> bool {
     let comps: Vec<&str> = rel
         .components()
         .filter_map(|c| c.as_os_str().to_str())
         .collect();
-    if comps.iter().any(|c| SKIP_DIRS.contains(c)) {
-        return None;
-    }
-    if comps.contains(&"examples") {
-        return Some(FileClass::Example);
-    }
-    if comps.contains(&"tests") || comps.contains(&"benches") {
-        return Some(FileClass::Test);
-    }
-    if let Some(src) = comps.iter().position(|&c| c == "src") {
-        if comps.get(src + 1) == Some(&"bin") {
-            return Some(FileClass::Bin);
-        }
-        return Some(FileClass::Lib);
-    }
-    None
+    comps.contains(&"src") && !comps.iter().any(|c| SKIP_DIRS.contains(c))
 }
 
 /// Every lintable `.rs` file under `root`, workspace-relative and
@@ -113,7 +123,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
             }
         } else if name.ends_with(".rs") {
             let rel = path.strip_prefix(root).unwrap_or(&path);
-            if classify_path(rel).is_some() {
+            if is_product_source(rel) {
                 out.push(rel.to_path_buf());
             }
         }
@@ -143,14 +153,9 @@ pub fn crate_name_for(rel: &Path) -> String {
 /// Lint one source text as if it lived at `rel` (workspace-relative):
 /// the textual pass plus the semantic passes run over the singleton
 /// graph of this one file.
-pub fn analyze_file(rel: &Path, class: FileClass, src: &str) -> Vec<Finding> {
+pub fn analyze_file(rel: &Path, src: &str) -> Vec<Finding> {
     let relpath = rel.display().to_string();
-    let summaries = vec![parse::summarize_file(
-        &relpath,
-        class,
-        &crate_name_for(rel),
-        src,
-    )];
+    let summaries = vec![parse::summarize_file(&relpath, &crate_name_for(rel), src)];
     semantic_report(summaries).findings
 }
 
@@ -166,12 +171,10 @@ pub fn analyze_file(rel: &Path, class: FileClass, src: &str) -> Vec<Finding> {
 pub fn analyze_source(root: &Path) -> Result<Report, String> {
     let mut summaries: Vec<FileSummary> = Vec::new();
     for rel in workspace_sources(root)? {
-        let class = classify_path(&rel).unwrap_or(FileClass::Lib);
         let src = std::fs::read_to_string(root.join(&rel))
             .map_err(|e| format!("read {}: {e}", rel.display()))?;
         summaries.push(parse::summarize_file(
             &rel.display().to_string(),
-            class,
             &crate_name_for(&rel),
             &src,
         ));
@@ -214,22 +217,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn path_classes_cover_the_layout() {
-        let class = |p: &str| classify_path(Path::new(p));
-        assert_eq!(class("crates/sim/src/config.rs"), Some(FileClass::Lib));
-        assert_eq!(class("crates/bench/src/bin/repro.rs"), Some(FileClass::Bin));
-        assert_eq!(class("crates/sim/tests/golden.rs"), Some(FileClass::Test));
-        assert_eq!(
-            class("crates/bench/benches/explore.rs"),
-            Some(FileClass::Test)
-        );
-        assert_eq!(
-            class("crates/cacti/examples/sweep.rs"),
-            Some(FileClass::Example)
-        );
-        assert_eq!(class("vendor/serde/src/lib.rs"), None);
-        assert_eq!(class("target/debug/build/out.rs"), None);
-        assert_eq!(class("crates/analyze/tests/fixtures/bad.rs"), None);
+    fn product_sources_are_library_and_binary_code_only() {
+        let linted = |p: &str| is_product_source(Path::new(p));
+        assert!(linted("crates/sim/src/config.rs"));
+        assert!(linted("crates/bench/src/bin/repro.rs"));
+        assert!(linted("crates/bench/src/bin/xps-perf/src/main.rs"));
+        assert!(linted("src/lib.rs"));
+        assert!(!linted("crates/sim/tests/golden.rs"));
+        assert!(!linted("crates/bench/benches/explore.rs"));
+        assert!(!linted("crates/cacti/examples/sweep.rs"));
+        assert!(!linted("crates/bench/src/bin/xps-perf/tests/smoke.rs"));
+        assert!(!linted("vendor/serde/src/lib.rs"));
+        assert!(!linted("target/debug/build/out.rs"));
+        assert!(!linted("crates/analyze/tests/fixtures/bad.rs"));
+        assert!(!linted("build.rs"));
     }
 
     #[test]

@@ -291,15 +291,9 @@ mod tests {
     use super::*;
     use crate::graph::build;
     use crate::parse::summarize_file;
-    use crate::rules::FileClass;
 
     fn run(src: &str) -> Vec<Finding> {
-        let files = vec![summarize_file(
-            "crates/a/src/lib.rs",
-            FileClass::Lib,
-            "xps_a",
-            src,
-        )];
+        let files = vec![summarize_file("crates/a/src/lib.rs", "xps_a", src)];
         let g = build(&files);
         check(&files, &g).0
     }

@@ -14,7 +14,7 @@
 
 use crate::diag::Finding;
 use crate::lexer::lex;
-use crate::rules::{self, FileClass, FileCtx};
+use crate::rules::{self, FileCtx};
 
 /// An `xps-allow` with its textual-pass usage already decided.
 /// Whether it is *stale* is decided only after the semantic passes
@@ -169,8 +169,6 @@ pub struct FnSummary {
 pub struct FileSummary {
     /// Workspace-relative path.
     pub relpath: String,
-    /// Build role.
-    pub class: FileClass,
     /// Lib-ident of the owning crate (`xps_serve`).
     pub crate_name: String,
     /// Module path of the file within its crate.
@@ -265,9 +263,9 @@ const KEYWORDS: [&str; 30] = [
 
 /// Summarize one file: lex, run the textual rule pass, and extract
 /// the item/call/lock structure the semantic passes consume.
-pub fn summarize_file(relpath: &str, class: FileClass, crate_name: &str, src: &str) -> FileSummary {
+pub fn summarize_file(relpath: &str, crate_name: &str, src: &str) -> FileSummary {
     let tokens = lex(src);
-    let ctx = rules::file_ctx(relpath, class, &tokens);
+    let ctx = rules::file_ctx(relpath, &tokens);
     let textual = rules::lint_file_raw(&ctx);
     let suppressions = ctx
         .suppressions
@@ -281,7 +279,6 @@ pub fn summarize_file(relpath: &str, class: FileClass, crate_name: &str, src: &s
     let module = module_path(relpath);
     let mut summary = FileSummary {
         relpath: relpath.to_string(),
-        class,
         crate_name: crate_name.to_string(),
         module,
         imports: Vec::new(),
@@ -893,7 +890,10 @@ fn record_path_call(
 }
 
 /// Record a `.m(…)` call plus lock/blocking/iteration classification.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one call site's position, receiver and classification inputs; a struct for them would serve this one caller"
+)]
 fn record_method_call(
     ctx: &FileCtx<'_>,
     open: usize,
@@ -1080,7 +1080,7 @@ mod tests {
     use super::*;
 
     fn summarize(src: &str) -> FileSummary {
-        summarize_file("crates/x/src/lib.rs", FileClass::Lib, "xps_x", src)
+        summarize_file("crates/x/src/lib.rs", "xps_x", src)
     }
 
     #[test]

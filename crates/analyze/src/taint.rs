@@ -96,12 +96,11 @@ mod tests {
     use super::*;
     use crate::graph::build;
     use crate::parse::summarize_file;
-    use crate::rules::FileClass;
 
     fn run(srcs: &[(&str, &str, &str)]) -> (Vec<Finding>, BTreeSet<(String, u32)>) {
         let files: Vec<FileSummary> = srcs
             .iter()
-            .map(|(rel, krate, src)| summarize_file(rel, FileClass::Lib, krate, src))
+            .map(|(rel, krate, src)| summarize_file(rel, krate, src))
             .collect();
         let g = build(&files);
         check(&files, &g)

@@ -12,7 +12,11 @@ pub fn document() {
     println!("{:?}", stamp());
 }
 
-pub fn save(path: &std::path::Path, data: &str) {
-    // xps-allow(no-raw-fs-write): fixture: scratch file outside the data tree
-    std::fs::write(path, data).unwrap(); // xps-allow(no-unwrap-in-lib): fixture: documented infallible write
+pub fn dial(addr: &str) {
+    // xps-allow(net-timeouts-and-bounded-retries): fixture: probe socket, closed at once
+    let _ = std::net::TcpStream::connect(addr);
+}
+
+pub fn redial(addr: &str) {
+    let _ = std::net::TcpStream::connect(addr); // xps-allow(net-timeouts-and-bounded-retries): fixture: probe socket, closed at once
 }

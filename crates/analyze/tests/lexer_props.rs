@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use std::path::Path;
 
+use xps_analyze::analyze_file;
 use xps_analyze::lexer::{lex, TokenKind};
-use xps_analyze::{analyze_file, FileClass};
 
 /// Fragments chosen to stress every lexer mode and the transitions
 /// between them. Concatenations are allowed to merge (`0` + `.5`
@@ -104,7 +104,7 @@ proptest! {
             "fn quiet() {{ println!(\"ok\"); let _ = {}; }}\n",
             shield.replace("{}", "Instant::now()")
         );
-        let f = analyze_file(Path::new("crates/x/src/lib.rs"), FileClass::Lib, &buried);
+        let f = analyze_file(Path::new("crates/x/src/lib.rs"), &buried);
         prop_assert!(
             !f.iter().any(|f| f.rule == "determinism-provenance"),
             "shielded text fabricated a finding: {:?}",
@@ -124,7 +124,7 @@ proptest! {
             .replace("r# unterminated raw", "r# terminated raw")
             .replace("b unterminated bytes", "b terminated bytes");
         let live = format!("{noise}\nfn loud() {{ println!(\"{{:?}}\", Instant::now()); }}\n");
-        let f = analyze_file(Path::new("crates/x/src/lib.rs"), FileClass::Lib, &live);
+        let f = analyze_file(Path::new("crates/x/src/lib.rs"), &live);
         prop_assert!(
             f.iter().any(|f| f.rule == "determinism-provenance"),
             "live violation was hidden by surrounding noise `{}`: {:?}",

@@ -36,7 +36,7 @@ struct BenchRow {
     workload: String,
     config: String,
     ops: u64,
-    /// Pre-overhaul [`sim::ReferenceSimulator`] throughput, micro-ops/sec.
+    /// Pre-overhaul [`xps_core::sim::ReferenceSimulator`] throughput, micro-ops/sec.
     before_ops_per_sec: f64,
     /// Optimized [`Simulator`] throughput, micro-ops/sec.
     after_ops_per_sec: f64,

@@ -4,6 +4,11 @@
 //! uninterrupted run produces. Both run the real binary — the same
 //! code path CI's `bakeoff-smoke` job exercises.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "XPS_BLESS=1 rewrites the golden report in place"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -2,11 +2,18 @@
 //! on any file contents it returns the results or a typed
 //! `MeasuredError`, never a panic.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "writes hostile measured.json files on purpose"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use xps_analyze::artifact;
 use xps_bench::{load_measured, save_measured, MeasuredError};
+use xps_core::explore::seal_checksummed;
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -85,4 +92,28 @@ fn a_resave_reproduces_the_tracked_file() {
     let again = std::fs::read(&path).expect("read");
     let _ = std::fs::remove_file(&path);
     assert!(again == quick(), "a re-save must reproduce the file");
+}
+
+/// JSON that is not a measured campaign — bare or in a valid envelope
+/// — is refused by the loader and by the artifact checker alike.
+#[test]
+fn the_loader_and_the_checker_refuse_payloads_that_are_not_campaigns() {
+    let matrix = r#"{"names":["gcc"],"ipt":[[0.5]],"weights":[1.0]}"#;
+    let no_cores = format!(r#"{{"matrix":{matrix},"quick":true}}"#);
+    for payload in ["{}", no_cores.as_str()] {
+        let value: serde::Value = serde_json::from_str(payload).expect("payload is JSON");
+        let sealed = seal_checksummed("measured", value).expect("seal");
+        for file in [payload, sealed.as_str()] {
+            let err = load(file.as_bytes()).expect_err("load_measured refuses it");
+            assert!(err.to_string().contains("cores"), "{err}");
+            let dir = tmp().with_extension("d");
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join("measured.json"), file).expect("write");
+            let report = artifact::check_dir(&dir).expect("walk");
+            let _ = std::fs::remove_dir_all(&dir);
+            let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+            assert_eq!(rules, vec!["measured-envelope"], "{file}");
+            assert!(report.findings[0].message.contains("cores"), "{file}");
+        }
+    }
 }

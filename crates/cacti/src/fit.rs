@@ -86,11 +86,14 @@ pub fn cache_geometries_within(tech: &Technology, budget: f64) -> Vec<CacheGeome
             }
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the CACTI model is a closed-form polynomial over positive inputs; access times are always finite"
+    )]
     out.sort_by(|a, b| {
         a.capacity_bytes().cmp(&b.capacity_bytes()).then_with(|| {
             cache_access_time(tech, a)
                 .partial_cmp(&cache_access_time(tech, b))
-                // xps-allow(no-unwrap-in-lib): the CACTI model is a closed-form polynomial over positive inputs; access times are always finite
                 .expect("access times are finite")
         })
     });

@@ -81,6 +81,30 @@ proptest! {
         prop_assert!((after - base * factor).abs() < 1e-9 * factor.max(1.0));
     }
 
+    /// The fit rule is monotone: a slower clock or a deeper unit never
+    /// shrinks the stage budget, nor any structure fitted into it.
+    /// `Option`'s order puts `None` (nothing fits) below every `Some`.
+    #[test]
+    fn fit_is_monotone_in_clock_and_depth(
+        clocks in (0.05f64..2.0, 0.05f64..2.0),
+        depths in (1u32..=8, 1u32..=8),
+        width in 1u32..=8,
+    ) {
+        let tech = Technology::default();
+        let (c1, c2) = (clocks.0.min(clocks.1), clocks.0.max(clocks.1));
+        let (d1, d2) = (depths.0.min(depths.1), depths.0.max(depths.1));
+        let small = fit::stage_budget(&tech, c1, d1);
+        let large = fit::stage_budget(&tech, c2, d2);
+        prop_assert!(large >= small, "budget {large} < {small}");
+        prop_assert!(fit::fit_rob(&tech, large, width) >= fit::fit_rob(&tech, small, width));
+        prop_assert!(
+            fit::fit_issue_queue(&tech, large, width) >= fit::fit_issue_queue(&tech, small, width)
+        );
+        prop_assert!(fit::fit_lsq(&tech, large) >= fit::fit_lsq(&tech, small));
+        let capacity = |budget| fit::fit_cache_max_capacity(&tech, budget).map(|g| g.capacity_bytes());
+        prop_assert!(capacity(large) >= capacity(small));
+    }
+
     /// Stage budgets are additive in depth.
     #[test]
     fn stage_budget_additive(clock in 0.1f64..1.0, d in 1u32..10) {

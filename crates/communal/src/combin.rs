@@ -79,7 +79,10 @@ pub fn best_combination(m: &CrossPerfMatrix, k: usize, merit: Merit) -> ComboRes
             ("evaluated", evaluated.into()),
         ])
     });
-    // xps-allow(no-unwrap-in-lib): choose(n, k) enumerations with validated k >= 1 always yield at least one subset
+    #[expect(
+        clippy::expect_used,
+        reason = "choose(n, k) enumerations with validated k >= 1 always yield at least one subset"
+    )]
     let (cores, merit_value) = best.expect("at least one combination exists");
     let names = cores.iter().map(|&i| m.names()[i].clone()).collect();
     ComboResult {

@@ -41,6 +41,10 @@ pub struct MethodologyComparison {
 /// distance to the others.
 fn medoid(points: &[Vec<f64>], members: &[usize]) -> usize {
     assert!(!members.is_empty(), "cluster cannot be empty");
+    #[expect(
+        clippy::expect_used,
+        reason = "slowdown distances are ratios of positive finite IPTs; NaN cannot reach this comparison; clusters are built by assignment and never empty when scored"
+    )]
     *members
         .iter()
         .min_by(|&&a, &&b| {
@@ -57,10 +61,8 @@ fn medoid(points: &[Vec<f64>], members: &[usize]) -> usize {
                     })
                     .sum()
             };
-            // xps-allow(no-unwrap-in-lib): slowdown distances are ratios of positive finite IPTs; NaN cannot reach this comparison
             cost(a).partial_cmp(&cost(b)).expect("distances are finite")
         })
-        // xps-allow(no-unwrap-in-lib): clusters are built by assignment and never empty when scored
         .expect("cluster is non-empty")
 }
 
@@ -117,7 +119,10 @@ pub fn compare_methodologies(
             best_subset = Some((cores_full, value));
         }
     });
-    // xps-allow(no-unwrap-in-lib): the subset enumeration always yields at least one candidate for validated core counts
+    #[expect(
+        clippy::expect_used,
+        reason = "the subset enumeration always yields at least one candidate for validated core counts"
+    )]
     let (subset_cores, _) = best_subset.expect("at least one combination");
     // ...but is *scored* on the full set, which is what ships.
     let subset_first_value = merit.evaluate(m, &subset_cores);

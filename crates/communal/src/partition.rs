@@ -70,10 +70,13 @@ pub fn balanced_partition(
 
     // Greedy construction, heaviest workloads first.
     let mut order: Vec<usize> = (0..n).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "matrix weights are validated finite and positive at construction"
+    )]
     order.sort_by(|&a, &b| {
         weights[b]
             .partial_cmp(&weights[a])
-            // xps-allow(no-unwrap-in-lib): matrix weights are validated finite and positive at construction
             .expect("weights are finite")
     });
     let mut slot_of = vec![0usize; n];
@@ -93,10 +96,12 @@ pub fn balanced_partition(
             Some((slot, _)) => slot,
             None => {
                 // No core has headroom: take the least loaded.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "loads are sums of validated finite weights; callers pass at least one core; the min over a non-empty range exists"
+                )]
                 (0..cores.len())
-                    // xps-allow(no-unwrap-in-lib): loads are sums of validated finite weights
                     .min_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("loads are finite"))
-                    // xps-allow(no-unwrap-in-lib): callers pass at least one core; the min over a non-empty range exists
                     .expect("cores is non-empty")
             }
         };

@@ -131,11 +131,14 @@ pub fn simulate_jobs(m: &CrossPerfMatrix, opts: &ScheduleOptions) -> ScheduleSta
             w = i;
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "the preferred index comes from the same combination that built the core list"
+        )]
         let slot_of = |core: usize| -> usize {
             opts.cores
                 .iter()
                 .position(|&c| c == core)
-                // xps-allow(no-unwrap-in-lib): the preferred index comes from the same combination that built the core list
                 .expect("preferred core is among the built cores")
         };
         let (slot, start) = match opts.policy {

@@ -128,16 +128,22 @@ impl Dendrogram {
         assert!((1..=self.n).contains(&k), "k must be in 1..=n");
         let mut clusters: Vec<Vec<usize>> = (0..self.n).map(|i| vec![i]).collect();
         for merge in &self.merges[..self.n - k] {
+            #[expect(
+                clippy::expect_used,
+                reason = "merge records name clusters produced by the same deterministic agglomeration being replayed"
+            )]
             let li = clusters
                 .iter()
                 .position(|c| c == &merge.left)
-                // xps-allow(no-unwrap-in-lib): merge records name clusters produced by the same deterministic agglomeration being replayed
                 .expect("replay is consistent");
             let l = clusters.remove(li);
+            #[expect(
+                clippy::expect_used,
+                reason = "merge records name clusters produced by the same deterministic agglomeration being replayed"
+            )]
             let ri = clusters
                 .iter()
                 .position(|c| c == &merge.right)
-                // xps-allow(no-unwrap-in-lib): merge records name clusters produced by the same deterministic agglomeration being replayed
                 .expect("replay is consistent");
             let mut r = clusters.remove(ri);
             let mut merged = l;
@@ -258,16 +264,18 @@ pub fn pitfall_experiment(
         .index_of(dropped)
         .unwrap_or_else(|| panic!("unknown workload `{dropped}`"));
     let keep: Vec<usize> = (0..m.len()).filter(|&i| i != d).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "a square submatrix of a validated square matrix is square; the kept-weights vector has exactly one entry per kept row"
+    )]
     let reduced = CrossPerfMatrix::new(
         keep.iter().map(|&i| m.names()[i].clone()).collect(),
         keep.iter()
             .map(|&w| keep.iter().map(|&c| m.ipt(w, c)).collect())
             .collect(),
     )
-    // xps-allow(no-unwrap-in-lib): a square submatrix of a validated square matrix is square
     .expect("reduced matrix stays valid")
     .with_weights(keep.iter().map(|&i| m.weights()[i]).collect())
-    // xps-allow(no-unwrap-in-lib): the kept-weights vector has exactly one entry per kept row
     .expect("reduced weights stay valid");
 
     let reduced_best = best_combination(&reduced, k, merit);

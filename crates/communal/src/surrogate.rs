@@ -132,9 +132,12 @@ fn resolve(w: usize, parent: &[Option<usize>], edge_order: &[Option<u32>]) -> us
             // the head.
             let mut cycle = Vec::new();
             let mut c = cur;
+            #[expect(
+                clippy::expect_used,
+                reason = "a cycle in the preference graph means every member has a parent edge"
+            )]
             loop {
                 cycle.push(c);
-                // xps-allow(no-unwrap-in-lib): a cycle in the preference graph means every member has a parent edge
                 c = parent[c].expect("cycle members all have parents");
                 if c == cur {
                     break;
@@ -142,14 +145,19 @@ fn resolve(w: usize, parent: &[Option<usize>], edge_order: &[Option<u32>]) -> us
             }
             // The head is the parent (host) named by the
             // highest-order edge among cycle members.
+            #[expect(
+                clippy::expect_used,
+                reason = "cycle membership implies the node's edge was recorded with an order; a detected cycle contains at least its entry node"
+            )]
             let latest = cycle
                 .iter()
-                // xps-allow(no-unwrap-in-lib): cycle membership implies the node's edge was recorded with an order
                 .max_by_key(|&&x| edge_order[x].expect("cycle members have edges"))
                 .copied()
-                // xps-allow(no-unwrap-in-lib): a detected cycle contains at least its entry node
                 .expect("cycle is non-empty");
-            // xps-allow(no-unwrap-in-lib): a cycle in the preference graph means every member has a parent edge
+            #[expect(
+                clippy::expect_used,
+                reason = "a cycle in the preference graph means every member has a parent edge"
+            )]
             return parent[latest].expect("cycle member has a parent");
         }
         seen[cur] = true;
@@ -197,9 +205,10 @@ pub fn assign_surrogates(m: &CrossPerfMatrix, mode: Propagation, target: usize) 
             if mode == Propagation::None && children[w] > 0 {
                 continue;
             }
-            // Indexing several parallel structures (parent, matrix) by
-            // host id — an iterator chain here would hide the pairing.
-            #[allow(clippy::needless_range_loop)]
+            #[allow(
+                clippy::needless_range_loop,
+                reason = "indexes several parallel structures (parent, matrix) by host id; an iterator chain would hide the pairing"
+            )]
             for h in 0..n {
                 if h == w {
                     continue;

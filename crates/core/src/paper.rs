@@ -101,11 +101,14 @@ pub const APPENDIX_A: [[f64; 11]; 11] = [
 
 /// The published Table 5 as a [`CrossPerfMatrix`] with equal weights.
 pub fn table5_matrix() -> CrossPerfMatrix {
+    #[expect(
+        clippy::expect_used,
+        reason = "the embedded Table 5 fixture is 11x11 by construction and covered by tests"
+    )]
     CrossPerfMatrix::new(
         BENCHMARKS.iter().map(|s| s.to_string()).collect(),
         TABLE5.iter().map(|row| row.to_vec()).collect(),
     )
-    // xps-allow(no-unwrap-in-lib): the embedded Table 5 fixture is 11x11 by construction and covered by tests
     .expect("the published table is a valid matrix")
 }
 

@@ -151,7 +151,10 @@ pub fn cross_matrix_with(
 /// Returns [`PipelineError`] when the configuration count mismatches
 /// the workload count, the journal fails, or the assembled matrix is
 /// invalid.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent campaign input the callers already hold separately"
+)]
 pub fn cross_matrix_recoverable(
     profiles: &[WorkloadProfile],
     configs: &mut [CoreConfig],
@@ -200,10 +203,12 @@ pub fn cross_matrix_recoverable(
     for _ in 0..passes {
         let mut changed = false;
         for w in 0..n {
+            #[expect(
+                clippy::expect_used,
+                reason = "matrix cells are measured IPTs or the finite FAILED_CELL_IPT sentinel; never NaN; the matrix is square over at least one workload"
+            )]
             let best = (0..n)
-                // xps-allow(no-unwrap-in-lib): matrix cells are measured IPTs or the finite FAILED_CELL_IPT sentinel; never NaN
                 .max_by(|&a, &b| ipt[w][a].partial_cmp(&ipt[w][b]).expect("finite"))
-                // xps-allow(no-unwrap-in-lib): the matrix is square over at least one workload
                 .expect("non-empty row");
             if best != w && ipt[w][best] > ipt[w][w] {
                 // Adopt the better configuration as w's own; its row

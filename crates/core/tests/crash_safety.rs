@@ -9,6 +9,11 @@
 //! * a permanently failing task degrades the run instead of aborting
 //!   it, and is reported by name.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "truncates and rewrites journals on purpose to simulate crashes"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use xps_core::explore::{

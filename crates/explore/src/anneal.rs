@@ -81,7 +81,7 @@ impl AnnealOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`ExploreError::InvalidOptions`] naming the first
+    /// Returns [`crate::ExploreError::InvalidOptions`] naming the first
     /// violated invariant.
     pub fn validate(&self) -> Result<(), crate::ExploreError> {
         let bad = |msg: String| Err(crate::ExploreError::InvalidOptions(msg));

@@ -188,9 +188,12 @@ impl EvalCache {
         }
         (0..keys.len())
             .map(|k| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every first occurrence was a hit or one of the misses just simulated"
+                )]
                 out[first(k)]
                     .clone()
-                    // xps-allow(no-unwrap-in-lib): every first occurrence was a hit or one of the misses just simulated
                     .expect("every first occurrence filled")
             })
             .collect()

@@ -269,7 +269,10 @@ impl Campaign {
             let mut best: Option<AnnealResult> = None;
             let mut last_err: Option<TaskError> = None;
             for _ in 0..starts.len() {
-                // xps-allow(no-unwrap-in-lib): run_parallel returns exactly one result per submitted start; the zip cannot run dry
+                #[expect(
+                    clippy::expect_used,
+                    reason = "run_parallel returns exactly one result per submitted start; the zip cannot run dry"
+                )]
                 match runs.next().expect("one result per task") {
                     Ok(r) => {
                         best = Some(match best {
@@ -283,9 +286,12 @@ impl Campaign {
             match best {
                 Some(b) => results.push(b),
                 None => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every start either produced a best or recorded an error; no third outcome exists"
+                    )]
                     return Err(ExploreError::WorkloadFailed {
                         workload: p.name.clone(),
-                        // xps-allow(no-unwrap-in-lib): every start either produced a best or recorded an error; no third outcome exists
                         error: last_err.expect("no best implies at least one error"),
                     });
                 }

@@ -171,7 +171,10 @@ pub fn grid_search_with(
             None => unrealizable += 1,
         }
     }
-    // xps-allow(no-unwrap-in-lib): the lattice includes the validated Table 3 start, which always realizes
+    #[expect(
+        clippy::expect_used,
+        reason = "the lattice includes the validated Table 3 start, which always realizes"
+    )]
     let (point, config, score) = best.expect("at least one lattice point must realize");
     GridResult {
         point,

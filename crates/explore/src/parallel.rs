@@ -93,9 +93,12 @@ where
         }
     });
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the claim counter hands each index to exactly one worker; every slot is filled at join"
+    )]
     let results = slots
         .into_iter()
-        // xps-allow(no-unwrap-in-lib): the claim counter hands each index to exactly one worker; every slot is filled at join
         .map(|s| s.expect("every item claimed exactly once"))
         .collect();
     ParallelRun {

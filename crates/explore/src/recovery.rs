@@ -324,9 +324,12 @@ impl RunContext {
         {
             return Err(e.into());
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the fan joins only after every task stored its slot or the run aborted with an error"
+        )]
         let items = slots
             .into_iter()
-            // xps-allow(no-unwrap-in-lib): the fan joins only after every task stored its slot or the run aborted with an error
             .map(|s| s.expect("every slot filled"))
             .collect();
         Ok(FanOutcome { items, per_worker })

@@ -280,7 +280,10 @@ impl Explorer for AnnealExplorer {
 
     fn run(&self, rng: &mut SmallRng, budget: &mut EvalBudget<'_>, start: &DesignPoint) {
         let mut cur = start.clone();
-        // xps-allow(no-unwrap-in-lib): the driver measures the start before any strategy runs, so an incumbent always exists
+        #[expect(
+            clippy::expect_used,
+            reason = "the driver measures the start before any strategy runs, so an incumbent always exists"
+        )]
         let mut cur_ipt = budget.best_ipt().expect("driver measured the start");
         let mut temp: f64 = 0.10;
         let cooling = 0.985;
@@ -306,10 +309,13 @@ impl Explorer for AnnealExplorer {
                         cur = cand;
                         cur_ipt = ipt;
                     }
-                    // xps-allow(no-unwrap-in-lib): at least the start has been measured, so a best exists
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "at least the start has been measured, so a best exists"
+                    )]
                     let best_ipt = budget.best_ipt().expect("something measured");
+                    #[expect(clippy::expect_used, reason = "a best IPT implies a best point")]
                     if cur_ipt < rollback_fraction * best_ipt {
-                        // xps-allow(no-unwrap-in-lib): a best IPT implies a best point
                         cur = budget.best_point().expect("a best exists").clone();
                         cur_ipt = best_ipt;
                     }
@@ -388,7 +394,10 @@ impl Explorer for GeneticExplorer {
 
     fn run(&self, rng: &mut SmallRng, budget: &mut EvalBudget<'_>, start: &DesignPoint) {
         let lattice = GridSpec::default().points();
-        // xps-allow(no-unwrap-in-lib): the driver measures the start before any strategy runs
+        #[expect(
+            clippy::expect_used,
+            reason = "the driver measures the start before any strategy runs"
+        )]
         let start_ipt = budget.best_ipt().expect("driver measured the start");
         let mut pop: Vec<(DesignPoint, f64)> = vec![(start.clone(), start_ipt)];
         let mut seeds = vec![DesignPoint::fast_corner(), DesignPoint::big_corner()];
@@ -405,10 +414,10 @@ impl Explorer for GeneticExplorer {
         loop {
             // Elitism: clone the generation's best (first of ties)
             // into the next generation without re-probing it.
+            #[expect(clippy::expect_used, reason = "the population is never empty")]
             let elite = pop
                 .iter()
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                // xps-allow(no-unwrap-in-lib): the population is never empty
                 .expect("population is non-empty")
                 .clone();
             let mut next = vec![elite];
@@ -505,7 +514,10 @@ fn fit_ridge(pairs: &[(DesignPoint, f64)]) -> Option<[f64; FEATURES]> {
         b.swap(col, pivot);
         for row in col + 1..FEATURES {
             let f = a[row][col] / a[col][col];
-            #[allow(clippy::needless_range_loop)]
+            #[allow(
+                clippy::needless_range_loop,
+                reason = "row `row` is updated from row `col` of the same matrix; an iterator would borrow `a` twice"
+            )]
             for k in col..FEATURES {
                 a[row][k] -= f * a[col][k];
             }
@@ -543,9 +555,12 @@ impl Explorer for SurrogateExplorer {
             if budget.exhausted() {
                 return;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the driver measures the start before any strategy runs"
+            )]
             let incumbent = budget
                 .best_point()
-                // xps-allow(no-unwrap-in-lib): the driver measures the start before any strategy runs
                 .expect("driver measured the start")
                 .clone();
             if budget.pairs().len() < BOOTSTRAP {
@@ -698,7 +713,10 @@ pub fn search(
         evaluated,
         ..
     } = budget;
-    // xps-allow(no-unwrap-in-lib): the start probe above guarantees at least one measurement
+    #[expect(
+        clippy::expect_used,
+        reason = "the start probe above guarantees at least one measurement"
+    )]
     let (point, config, ipt) = best.expect("the start was measured");
     span.end_with(|| {
         xps_trace::attrs([

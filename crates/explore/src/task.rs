@@ -166,7 +166,10 @@ impl TaskSpec {
     /// re-parsed on a worker — canonicalize to equal bytes. Fleet
     /// content-addressing fingerprints exactly this string.
     pub fn canonical(&self) -> String {
-        // xps-allow(no-unwrap-in-lib): task specs are plain data structs built from validated campaign options; serialization cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "task specs are plain data structs built from validated campaign options; serialization cannot fail"
+        )]
         serde_json::to_string(self).expect("task specs serialize to JSON")
     }
 
@@ -268,7 +271,10 @@ impl TaskSpec {
                 serde_json::to_string(&outcome)
             }
         };
-        // xps-allow(no-unwrap-in-lib): task results are plain data structs and finite f64s; serialization cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "task results are plain data structs and finite f64s; serialization cannot fail"
+        )]
         Ok(json.expect("task results serialize to JSON"))
     }
 

@@ -5,6 +5,11 @@
 //! the file never yields garbage — only a detected error or a clean
 //! prefix of the records.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "writes damaged and truncated journals on purpose"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;

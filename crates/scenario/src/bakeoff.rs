@@ -201,7 +201,10 @@ impl BakeoffReport {
     /// of the options, so equal bake-offs canonicalize to equal
     /// bytes.
     pub fn canonical(&self) -> String {
-        // xps-allow(no-unwrap-in-lib): the report is a plain data struct of finite numbers; serialization cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "the report is a plain data struct of finite numbers; serialization cannot fail"
+        )]
         serde_json::to_string(self).expect("bake-off reports serialize to JSON")
     }
 
@@ -290,7 +293,10 @@ pub fn run_bakeoff(
     let span = trace::span("bakeoff.run");
     let mut profiles: Vec<(WorkloadProfile, String)> = Vec::new();
     for name in &opts.spec_workloads {
-        // xps-allow(no-unwrap-in-lib): validate() checked every SPEC name resolves
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() checked every SPEC name resolves"
+        )]
         let p = spec::profile(name).expect("validated SPEC workload");
         profiles.push((p, SPEC_FAMILY.to_string()));
     }
@@ -323,7 +329,10 @@ pub fn run_bakeoff(
     for (p, family) in &profiles {
         let mut outcomes: Vec<SearchOutcome> = Vec::with_capacity(EXPLORER_NAMES.len());
         for name in EXPLORER_NAMES {
-            // xps-allow(no-unwrap-in-lib): the fan returns exactly one item per submitted task
+            #[expect(
+                clippy::expect_used,
+                reason = "the fan returns exactly one item per submitted task"
+            )]
             let item = items.next().expect("one item per task");
             match item {
                 Ok(o) => outcomes.push(o),
@@ -346,6 +355,10 @@ pub fn run_bakeoff(
             ipt: 0.0,
             cost: reference_cost,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "every search measures at least its start, so the curve is non-empty"
+        )]
         let entries: Vec<BakeoffEntry> = outcomes
             .iter()
             .map(|o| BakeoffEntry {
@@ -353,7 +366,6 @@ pub fn run_bakeoff(
                 ipt: o.ipt,
                 evals: o.evals,
                 unrealizable: o.unrealizable,
-                // xps-allow(no-unwrap-in-lib): every search measures at least its start, so the curve is non-empty
                 evals_to_best: o.curve.last().expect("non-empty curve").evals,
                 curve: o.curve.clone(),
                 front: o.front.clone(),

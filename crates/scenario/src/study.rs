@@ -220,7 +220,10 @@ impl StudyReport {
     /// is field-ordered and every number is a deterministic function
     /// of the inputs, so equal studies canonicalize to equal bytes.
     pub fn canonical(&self) -> String {
-        // xps-allow(no-unwrap-in-lib): the report is a plain data struct of finite numbers; serialization cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "the report is a plain data struct of finite numbers; serialization cannot fail"
+        )]
         serde_json::to_string(self).expect("study reports serialize to JSON")
     }
 
@@ -289,11 +292,11 @@ fn panel_bounds(n: usize, panel: usize, cores: usize) -> Vec<std::ops::Range<usi
         start = end;
     }
     if bounds.len() >= 2 {
-        // xps-allow(no-unwrap-in-lib): len >= 2 was just checked
+        #[expect(clippy::expect_used, reason = "len >= 2 was just checked")]
         let last = bounds.last().expect("non-empty").clone();
         if last.len() < 2 * cores {
             bounds.pop();
-            // xps-allow(no-unwrap-in-lib): len >= 2 means one remains after pop
+            #[expect(clippy::expect_used, reason = "len >= 2 means one remains after pop")]
             let prev = bounds.last_mut().expect("non-empty");
             prev.end = last.end;
         }

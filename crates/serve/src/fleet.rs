@@ -272,6 +272,10 @@ impl Fleet {
         });
         let heartbeat = heartbeat_enabled.then(|| {
             let hb = inner.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn fails only on resource exhaustion at startup"
+            )]
             std::thread::Builder::new()
                 .name("fleet-heartbeat".into())
                 .spawn(move || {
@@ -286,7 +290,6 @@ impl Fleet {
                         }
                     }
                 })
-                // xps-allow(no-unwrap-in-lib): thread spawn fails only on resource exhaustion at startup
                 .expect("spawn fleet heartbeat thread")
         });
         Fleet { inner, heartbeat }
@@ -433,7 +436,7 @@ pub struct FleetReport {
 /// canonical campaign document. Placement, retries, quarantine, and
 /// degradation never change the output bytes: every task result is a
 /// pure function of its spec, results merge in item order, and the
-/// document is emitted through the one [`campaign_document`]
+/// document is emitted through the one `campaign_document`
 /// serialization point.
 ///
 /// # Errors

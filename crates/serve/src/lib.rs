@@ -18,19 +18,35 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 request parsing and fixed response
 //!   framing, over generic `BufRead`/`Write`.
-//! * [`store`] — the content-addressed result store (FNV fingerprints,
-//!   atomic checksummed records).
-//! * [`metrics`] — daemon-wide counters and latency histograms.
-//! * [`server`] — the TCP worker: accept loop, `/tasks` execution,
-//!   graceful drain.
+//! * `store` — the content-addressed [`ResultStore`] (FNV
+//!   fingerprints, atomic checksummed records).
+//! * `metrics` — daemon-wide counters and latency histograms
+//!   ([`Metrics`]).
+//! * `server` — the TCP worker ([`Server`]): accept loop, `/tasks`
+//!   execution, graceful drain.
 //! * [`client`] — a tiny blocking HTTP client (the transport and the
 //!   tests).
-//! * [`transport`] — the fleet wire layer: deadline-bounded TCP plus
-//!   a deterministic fault-injecting wrapper.
-//! * [`netfault`] — seeded network fault plans (`XPS_NET_FAULTS`).
-//! * [`fleet`] — the scatter-gather coordinator: heartbeats, bounded
-//!   retries with deterministic backoff, quarantine, and graceful
-//!   degradation to local execution.
+//! * `transport` — the fleet wire layer: deadline-bounded TCP
+//!   ([`TcpTransport`]) plus a deterministic fault-injecting wrapper
+//!   ([`FlakyTransport`]).
+//! * `netfault` — seeded network fault plans ([`NetFaultPlan`],
+//!   `XPS_NET_FAULTS`).
+//! * `fleet` — the scatter-gather coordinator ([`Fleet`]):
+//!   heartbeats, bounded retries with deterministic backoff,
+//!   quarantine, and graceful degradation to local execution.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests stage fixture files directly"
+    )
+)]
 
 pub mod client;
 mod error;
@@ -55,6 +71,9 @@ pub use transport::{FlakyTransport, TcpTransport, Transport};
 /// Render a JSON value the daemon built itself. Infallible by
 /// construction: every number the daemon emits is finite.
 pub(crate) fn json(v: &serde::Value) -> String {
-    // xps-allow(no-unwrap-in-lib): daemon documents are built from validated finite values; serialization cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "daemon documents are built from validated finite values; serialization cannot fail"
+    )]
     serde_json::to_string(v).expect("daemon documents contain only finite numbers")
 }

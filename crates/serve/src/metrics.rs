@@ -39,10 +39,13 @@ impl Endpoint {
     }
 
     fn index(&self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "Endpoint::ALL enumerates every variant; position always finds self"
+        )]
         Endpoint::ALL
             .iter()
             .position(|e| e == self)
-            // xps-allow(no-unwrap-in-lib): Endpoint::ALL enumerates every variant; position always finds self
             .expect("listed")
     }
 }

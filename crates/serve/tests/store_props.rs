@@ -5,6 +5,11 @@
 //! with a stored record — flipped bytes, truncation, relabeling — is
 //! rejected with an error naming the file, never served as a result.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tampers with stored records on disk on purpose"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;

@@ -36,6 +36,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 mod cache;
 pub mod config;

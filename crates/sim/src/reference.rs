@@ -1,7 +1,7 @@
 //! The pre-optimization timing engine, kept as a reference oracle.
 //!
 //! This is the cycle engine exactly as it stood before the hot-loop
-//! overhaul in [`crate::engine`]: per-cycle issue-slot usage in a
+//! overhaul of [`crate::Simulator`]: per-cycle issue-slot usage in a
 //! `HashMap` with periodic `retain` sweeps, and an unconditional
 //! 64-entry linear scan of the store ring on every load. Its data
 //! caches are the rank-LRU hierarchy of [`cache`], frozen before the
@@ -119,10 +119,10 @@ impl ReferenceSimulator {
     /// measurements. Semantically identical to
     /// [`crate::Simulator::run`]; no trace events are emitted (the
     /// oracle is never part of an instrumented campaign).
-    // The counter is u64 on purpose (a `take(max_ops as usize)` would
-    // truncate on 32-bit targets), which clippy's enumerate suggestion
-    // would reintroduce via usize.
-    #[allow(clippy::explicit_counter_loop)]
+    #[allow(
+        clippy::explicit_counter_loop,
+        reason = "the counter is u64 on purpose: the enumerate suggestion counts in usize, and `take(max_ops as usize)` would truncate on 32-bit targets"
+    )]
     pub fn run(mut self, trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) -> SimStats {
         let mut taken = 0u64;
         for op in trace {

@@ -86,7 +86,7 @@ const ATTRS_INLINE: usize = 4;
 ///
 /// Event constructors take closures producing one so the work only
 /// happens when a recorder is actually installed — and since every
-/// attribute list in the workspace is at most [`ATTRS_INLINE`] entries,
+/// attribute list in the workspace is at most `ATTRS_INLINE` (4) entries,
 /// building one is allocation-free: the entries live inline in the
 /// event. This matters on hot exits like the simulator's `sim.run`
 /// instant, recorded once per evaluation during traced campaigns.

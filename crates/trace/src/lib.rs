@@ -20,6 +20,12 @@
 //! constructs the sink via [`TraceSink::with_wall_clock`]; its stamps
 //! decorate the profile and never reach serialized output.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod event;
 pub mod profile;
 pub mod recorder;

@@ -33,6 +33,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 mod characterize;
 mod gen;

@@ -28,9 +28,12 @@ pub const BENCHMARKS: [&str; 11] = [
 
 /// All eleven profiles, in the paper's table order.
 pub fn all_profiles() -> Vec<WorkloadProfile> {
+    #[expect(
+        clippy::expect_used,
+        reason = "BENCHMARKS and profile() are defined from the same static table; covered by tests"
+    )]
     BENCHMARKS
         .iter()
-        // xps-allow(no-unwrap-in-lib): BENCHMARKS and profile() are defined from the same static table; covered by tests
         .map(|n| profile(n).expect("BENCHMARKS entries are all known"))
         .collect()
 }

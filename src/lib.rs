@@ -15,5 +15,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use xps_core::*;
