@@ -39,16 +39,17 @@ use xps_serve::decode_record;
 /// Every rule id the artifact checker can emit. Part of the known-id
 /// set an `xps-allow` may name (naming any other id is a deny), and
 /// of the catalog.
-pub(crate) const RULE_IDS: [&str; 5] = [
+pub(crate) const RULE_IDS: [&str; 6] = [
     "config-domain",
     "journal-record",
     "matrix-domain",
     "measured-envelope",
+    "point-domain",
     "store-record",
 ];
 
 /// One-line catalog summaries for [`RULE_IDS`], in the same order.
-pub(crate) const RULE_SUMMARIES: [(&str, &str); 5] = [
+pub(crate) const RULE_SUMMARIES: [(&str, &str); 6] = [
     (
         "config-domain",
         "a realized configuration outside the model domains (clock range, candidate \
@@ -68,6 +69,11 @@ pub(crate) const RULE_SUMMARIES: [(&str, &str); 5] = [
         "measured-envelope",
         "a measured-results envelope whose checksum does not recompute from its payload, \
          or whose payload is not a measured campaign (the file load_measured would refuse)",
+    ),
+    (
+        "point-domain",
+        "a design point outside the annealer's move domains (clock range, width, \
+         pipeline depths, candidate cache associativities and blocks)",
     ),
     (
         "store-record",
@@ -742,6 +748,14 @@ mod tests {
             "{:?}",
             r.findings
         );
+        let known = crate::rules::known_rule_ids();
+        for f in &r.findings {
+            assert!(
+                known.contains(&f.rule),
+                "`{}` is not a declared rule",
+                f.rule
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

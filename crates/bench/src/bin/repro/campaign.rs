@@ -1,9 +1,11 @@
-//! The measured exploration campaign (`explore`), the cached results
-//! every measured table reads ([`measured`]), the self-profile of a
-//! small campaign (`profile`), and the recovery plumbing — journal,
-//! retries, fault injection — that `bakeoff` shares.
+//! The measured exploration campaign (`explore`, on local threads or
+//! over `--workers`), the cached results every measured table reads
+//! ([`measured`]), the self-profile of a small campaign (`profile`),
+//! and the recovery plumbing — journal, retries, fault injection —
+//! that `bakeoff` shares.
 
 use crate::cli::{Opts, Outcome};
+use crate::serving::{print_fleet_stats, with_fleet};
 use std::error::Error;
 use std::path::PathBuf;
 use xps_bench::{load_measured, measured_path, save_measured, Measured};
@@ -63,6 +65,10 @@ pub fn measured(o: &Opts) -> Result<Measured, Box<dyn Error>> {
     explore(o)
 }
 
+/// `repro explore`: run the measured campaign over every paper
+/// benchmark and persist it, journaling each task. With `--workers`
+/// the same campaign dispatches its tasks to those fleet workers; the
+/// saved bytes are the same either way.
 pub fn explore(o: &Opts) -> Result<Measured, Box<dyn Error>> {
     let quick = o.quick;
     eprintln!(
@@ -75,7 +81,10 @@ pub fn explore(o: &Opts) -> Result<Measured, Box<dyn Error>> {
         Pipeline::default()
     };
     pipeline.explore.jobs = o.jobs;
-    let mut ctx = run_context(o)?.with_journal(open_journal(o, JOURNAL_PATH)?);
+    let (mut ctx, fleet) = with_fleet(
+        run_context(o)?.with_journal(open_journal(o, JOURNAL_PATH)?),
+        o,
+    )?;
     // xps-allow(determinism-provenance): CLI progress timing printed to stderr; measured results never see it
     let t0 = std::time::Instant::now();
     let result = pipeline.run_recoverable(&spec::all_profiles(), &ctx)?;
@@ -106,6 +115,9 @@ pub fn explore(o: &Opts) -> Result<Measured, Box<dyn Error>> {
             format!("; degraded around failed tasks: {}", r.failed_tasks.join(", "))
         }
     );
+    if let Some(fleet) = fleet {
+        print_fleet_stats(&fleet);
+    }
     let m = Measured::from((result, quick));
     save_measured(&m, &measured_path())?;
     eprintln!("[saved {}]", measured_path().display());
@@ -126,7 +138,7 @@ pub fn explore(o: &Opts) -> Result<Measured, Box<dyn Error>> {
 /// `--quick` shrinks the run to smoke scale (the trace structure is
 /// identical, only the op counts differ).
 pub fn profile(o: &Opts) -> Outcome {
-    use xps_core::explore::{write_atomic, EvalCache};
+    use xps_core::explore::write_atomic;
     use xps_core::trace::{with_recorder, TraceSink};
     let quick = o.quick;
     let mut pipeline = if quick {
@@ -147,9 +159,8 @@ pub fn profile(o: &Opts) -> Outcome {
     // stamps feed only the table below, never the span journal.
     let trace = TraceSink::with_wall_clock();
     let ctx = RunContext::from_env()?.with_trace(trace.clone());
-    let cache = EvalCache::new();
     let (root, outcome) = with_recorder(trace.recorder(), || {
-        pipeline.run_recoverable_with(&profiles, &ctx, &cache)
+        pipeline.run_recoverable(&profiles, &ctx)
     });
     trace.attach("main", root);
     outcome?;

@@ -6,7 +6,7 @@
 //! `--help` and every error message are generated from the two
 //! tables, so a flag is accepted exactly by the commands that read it.
 
-use crate::{ablation, analyze, bench, campaign, paper, serving, studies};
+use crate::{ablation, analyze, bench, campaign, paper, studies};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -33,8 +33,6 @@ pub struct Opts {
     pub retries: Option<u32>,
     pub faults: Option<FaultPlan>,
     pub journal: Option<PathBuf>,
-    pub addr: Option<String>,
-    pub data_dir: Option<PathBuf>,
     pub workers: Vec<String>,
     pub net_faults: Option<NetFaultPlan>,
     pub check: bool,
@@ -126,7 +124,7 @@ const RETRIES: Flag = Flag {
         o.retries = Some(number("--retries", v)?);
         Ok(())
     }),
-    help: "extra attempts per task after a failure",
+    help: "extra attempts per task after a failure (and per dispatch under --workers)",
 };
 
 const FAULTS: Flag = Flag {
@@ -145,27 +143,6 @@ const JOURNAL: Flag = Flag {
         Ok(())
     }),
     help: "checkpoint journal location",
-};
-
-const ADDR: Flag = Flag {
-    name: "--addr",
-    kind: Kind::Value("HOST:PORT", |o, v| {
-        if !v.contains(':') {
-            return Err(format!("--addr expects HOST:PORT, got `{v}`"));
-        }
-        o.addr = Some(v.to_string());
-        Ok(())
-    }),
-    help: "daemon bind address",
-};
-
-const DATA_DIR: Flag = Flag {
-    name: "--data-dir",
-    kind: Kind::Value("PATH", |o, v| {
-        o.data_dir = Some(PathBuf::from(v));
-        Ok(())
-    }),
-    help: "daemon state root",
 };
 
 const WORKERS: Flag = Flag {
@@ -273,9 +250,9 @@ const HELP: Flag = Flag {
 };
 
 /// Every flag `repro` knows.
-pub static FLAGS: [Flag; 18] = [
-    QUICK, PAPER_DATA, JOBS, RESUME, RETRIES, FAULTS, JOURNAL, ADDR, DATA_DIR, WORKERS, NET_FAULTS,
-    CHECK, FAMILIES, N, SEED, BUDGET, OUT, HELP,
+pub static FLAGS: [Flag; 16] = [
+    QUICK, PAPER_DATA, JOBS, RESUME, RETRIES, FAULTS, JOURNAL, WORKERS, NET_FAULTS, CHECK,
+    FAMILIES, N, SEED, BUDGET, OUT, HELP,
 ];
 
 /// Flags a command reads, each with the default it has there.
@@ -284,14 +261,29 @@ type Accepts = &'static [(Flag, &'static str)];
 const PAPER: Accepts = &[(PAPER_DATA, "off; analyse the measured matrix")];
 
 /// The measured campaign's flags: every command that can reach
-/// [`campaign::measured`] reads them.
+/// [`campaign::measured`] reads them, and `--retries` from
+/// [`LOCAL_RETRIES`] or [`FLEET`].
 const CAMPAIGN: Accepts = &[
     (QUICK, "off; the full budget simulates ~10^9 micro-ops"),
     (JOBS, "available parallelism"),
     (RESUME, "off"),
-    (RETRIES, "2"),
     (FAULTS, "none"),
     (JOURNAL, campaign::JOURNAL_PATH),
+];
+
+/// `--retries` where every task runs locally.
+const LOCAL_RETRIES: Accepts = &[(RETRIES, "2")];
+
+/// The flags of a command that can dispatch its tasks over
+/// `--workers`; there `--retries` sets both retry budgets.
+const FLEET: Accepts = &[
+    (
+        RETRIES,
+        "2 extra attempts per task, plus 3 remote retries per dispatch with --workers; \
+         N sets both",
+    ),
+    (WORKERS, "none; run coordinator-local"),
+    (NET_FAULTS, "none, or XPS_NET_FAULTS"),
 ];
 
 /// One `repro` experiment.
@@ -347,7 +339,7 @@ const fn matrix(name: &'static str, summary: &'static str, run: fn(&Opts) -> Out
         name,
         in_all: true,
         summary,
-        flags: &[PAPER, CAMPAIGN],
+        flags: &[PAPER, CAMPAIGN, LOCAL_RETRIES],
         run,
     }
 }
@@ -370,8 +362,8 @@ pub static COMMANDS: &[Command] = &[
     Command {
         name: "explore",
         in_all: false,
-        summary: "run the measured exploration campaign and persist it",
-        flags: &[CAMPAIGN],
+        summary: "run the measured exploration campaign (locally or over --workers), persist it",
+        flags: &[CAMPAIGN, FLEET],
         run: |o| campaign::explore(o).map(drop),
     },
     fixed(
@@ -480,30 +472,6 @@ pub static COMMANDS: &[Command] = &[
         run: campaign::profile,
     },
     Command {
-        name: "serve",
-        in_all: false,
-        summary: "run a fleet worker daemon (POST /tasks) until SIGTERM",
-        flags: &[&[
-            (ADDR, serving::DEFAULT_ADDR),
-            (DATA_DIR, serving::DEFAULT_DATA_DIR),
-        ]],
-        run: serving::serve,
-    },
-    Command {
-        name: "fleet",
-        in_all: false,
-        summary: "scatter a gzip+mcf campaign over fleet workers, gather its document",
-        flags: &[&[
-            (WORKERS, "none; run coordinator-local"),
-            (QUICK, "off; the quick profile (--quick: smoke)"),
-            (JOBS, "available parallelism"),
-            (RETRIES, "3"),
-            (NET_FAULTS, "none, or XPS_NET_FAULTS"),
-            (OUT, serving::FLEET_OUT),
-        ]],
-        run: serving::fleet,
-    },
-    Command {
         name: "analyze",
         in_all: false,
         summary: "static analysis: lint workspace sources, validate artifacts",
@@ -514,46 +482,46 @@ pub static COMMANDS: &[Command] = &[
         name: "scale",
         in_all: false,
         summary: "the subsetting study over a synthetic population: gaps, pitfall rate",
-        flags: &[&[
-            (FAMILIES, "expected,stress,adversarial"),
-            (N, "96"),
-            (SEED, "42, the population seed"),
-            (OUT, studies::SCALE_OUT),
-            (
-                QUICK,
-                "off; the quick pipeline per panel (--quick: smoke scale)",
-            ),
-            (JOBS, "available parallelism, per panel campaign"),
-            (WORKERS, "none; run coordinator-local"),
-            (RETRIES, "2"),
-            (NET_FAULTS, "none, or XPS_NET_FAULTS"),
-            (FAULTS, "none"),
-        ]],
+        flags: &[
+            &[
+                (FAMILIES, "expected,stress,adversarial"),
+                (N, "96"),
+                (SEED, "42, the population seed"),
+                (OUT, studies::SCALE_OUT),
+                (
+                    QUICK,
+                    "off; the quick pipeline per panel (--quick: smoke scale)",
+                ),
+                (JOBS, "available parallelism, per panel campaign"),
+                (FAULTS, "none"),
+            ],
+            FLEET,
+        ],
         run: studies::scale,
     },
     Command {
         name: "bakeoff",
         in_all: false,
         summary: "anneal vs genetic vs surrogate search at an equal evaluation budget",
-        flags: &[&[
-            (
-                QUICK,
-                "off; 11 SPEC profiles, 6 scenario members, budget 60 \
+        flags: &[
+            &[
+                (
+                    QUICK,
+                    "off; 11 SPEC profiles, 6 scenario members, budget 60 \
                  (--quick: 3 profiles, 4 members, budget 14)",
-            ),
-            (BUDGET, "14 with --quick, 60 without"),
-            (SEED, "24301, shared by every explorer"),
-            (FAMILIES, "expected,stress,adversarial"),
-            (N, "4 with --quick, 6 without"),
-            (OUT, studies::BAKEOFF_OUT),
-            (JOBS, "available parallelism"),
-            (RESUME, "off"),
-            (JOURNAL, studies::BAKEOFF_JOURNAL_PATH),
-            (WORKERS, "none; run coordinator-local"),
-            (RETRIES, "2"),
-            (NET_FAULTS, "none, or XPS_NET_FAULTS"),
-            (FAULTS, "none"),
-        ]],
+                ),
+                (BUDGET, "14 with --quick, 60 without"),
+                (SEED, "24301, shared by every explorer"),
+                (FAMILIES, "expected,stress,adversarial"),
+                (N, "4 with --quick, 6 without"),
+                (OUT, studies::BAKEOFF_OUT),
+                (JOBS, "available parallelism"),
+                (RESUME, "off"),
+                (JOURNAL, studies::BAKEOFF_JOURNAL_PATH),
+                (FAULTS, "none"),
+            ],
+            FLEET,
+        ],
         run: studies::bakeoff,
     },
     Command {
@@ -573,7 +541,7 @@ pub static COMMANDS: &[Command] = &[
         name: "all",
         in_all: false,
         summary: "every experiment marked * above, in order",
-        flags: &[PAPER, CAMPAIGN],
+        flags: &[PAPER, CAMPAIGN, LOCAL_RETRIES],
         run: run_all,
     },
     Command {
@@ -754,7 +722,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_rejected() {
-        let e = parse_args(&["fleet", "--workers"]).expect_err("no value");
+        let e = parse_args(&["explore", "--workers"]).expect_err("no value");
         assert!(e.contains("--workers requires a value"), "message: {e}");
     }
 
@@ -772,17 +740,6 @@ mod tests {
             o.faults,
             Some(FaultPlan::parse("rate=20,seed=7,attempts=1,kind=panic").expect("valid"))
         );
-    }
-
-    #[test]
-    fn serving_flags_parse_and_validate() {
-        let (c, o) = parse_args(&["serve", "--addr", "0.0.0.0:9000", "--data-dir=/tmp/d"])
-            .expect("valid serve command line");
-        assert_eq!(c.name, "serve");
-        assert_eq!(o.addr.as_deref(), Some("0.0.0.0:9000"));
-        assert_eq!(o.data_dir, Some(PathBuf::from("/tmp/d")));
-        let e = parse_args(&["serve", "--addr", "no-port"]).expect_err("missing port");
-        assert!(e.contains("HOST:PORT"), "message: {e}");
     }
 
     #[test]
@@ -829,29 +786,38 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flags_parse_and_validate() {
+    fn explore_takes_the_fleet_flags() {
         let (c, o) = parse_args(&[
-            "fleet",
+            "explore",
             "--workers",
-            "127.0.0.1:7801, 127.0.0.1:7802",
-            "--net-faults=drop=10,seed=3",
-            "--out",
-            "f.json",
+            "a:1,b:2",
+            "--net-faults",
+            "drop=10,seed=3",
         ])
-        .expect("valid fleet command line");
-        assert_eq!(c.name, "fleet");
-        assert_eq!(o.workers, vec!["127.0.0.1:7801", "127.0.0.1:7802"]);
+        .expect("valid fleet campaign command line");
+        assert_eq!(c.name, "explore");
+        assert_eq!(o.workers, vec!["a:1", "b:2"]);
         assert_eq!(
             o.net_faults,
             Some(NetFaultPlan::parse("drop=10,seed=3").expect("valid"))
         );
-        assert_eq!(o.out, Some(PathBuf::from("f.json")));
-        let (_, o) = parse_args(&["fleet", "--workers", ""]).expect("no workers is local");
+        let (_, o) = parse_args(&["explore", "--workers", ""]).expect("no workers is local");
         assert!(o.workers.is_empty());
-        let e = parse_args(&["fleet", "--workers", "no-port"]).expect_err("missing port");
+        let e = parse_args(&["explore", "--workers", "no-port"]).expect_err("missing port");
         assert!(e.contains("HOST:PORT"), "message: {e}");
-        let e = parse_args(&["fleet", "--net-faults", "drop=200"]).expect_err("bad rate");
+        let e = parse_args(&["explore", "--net-faults", "drop=200"]).expect_err("bad rate");
         assert!(e.contains("100"), "message: {e}");
+    }
+
+    #[test]
+    fn fleet_and_serve_are_not_subcommands() {
+        for name in ["fleet", "serve"] {
+            let e = parse_args(&[name]).expect_err("retired subcommand");
+            assert!(
+                e.starts_with(&format!("unknown experiment `{name}`")),
+                "message: {e}"
+            );
+        }
     }
 
     #[test]
@@ -874,10 +840,10 @@ mod tests {
             "scale --resume",
             "scale --journal p",
             "table1 --workers h:1",
-            "fleet --budget 5",
+            "table5 --workers h:1",
+            "table5 --net-faults drop=1",
+            "explore --budget 5",
             "explore --check",
-            "serve --quick",
-            "serve --jobs 2",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let (cmd, flag) = (args[0], args[1]);

@@ -86,7 +86,7 @@ pub fn bakeoff(o: &Opts) -> Outcome {
 /// the subsetting-at-scale study. `--families/--n/--seed` shape the
 /// population; `--quick` shrinks each panel campaign to smoke scale;
 /// `--workers` scatters anneals and matrix cells over fleet workers
-/// through the same dispatcher seam as `repro fleet`. The canonical
+/// through the same dispatcher seam as `repro explore`. The canonical
 /// report (gap distribution, pitfall rate) is a pure function of the
 /// population spec and study options — byte-identical for any
 /// `--jobs` value or worker count — and lands at `--out`; execution

@@ -62,8 +62,5 @@ pub use xps_workload as workload;
 
 pub use error::PipelineError;
 pub use measured::{open_measured, Measured};
-pub use pipeline::{
-    cross_matrix, cross_matrix_recoverable, cross_matrix_with, Pipeline, PipelineResult,
-    FAILED_CELL_IPT,
-};
+pub use pipeline::{cross_matrix_recoverable, Pipeline, PipelineResult, FAILED_CELL_IPT};
 pub use report::{table7, Table7, Table7Row};

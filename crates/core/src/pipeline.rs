@@ -102,49 +102,22 @@ pub struct PipelineResult {
 
 /// Build a cross-configuration matrix by simulating every workload on
 /// every configuration, applying the paper's replacement rule until
-/// the diagonal dominates (or the pass budget runs out).
-pub fn cross_matrix(
-    profiles: &[WorkloadProfile],
-    configs: &mut [CoreConfig],
-    ops: u64,
-    passes: u32,
-) -> CrossPerfMatrix {
-    cross_matrix_with(profiles, configs, ops, passes, 1, None).0
-}
-
-/// [`cross_matrix`] with the cell measurements fanned out over `jobs`
-/// workers (0 = available parallelism) and optionally memoized in
-/// `cache`. Returns the matrix plus the per-worker task counts.
+/// the diagonal dominates (or the pass budget runs out). Returns the
+/// matrix plus the per-worker task counts.
 ///
-/// Cells are pure functions of `(profile, config, ops)` and are merged
-/// in row-major order, so the matrix is bit-identical for any worker
-/// count. With a cache shared with the exploration phase, replacement
-/// passes mostly re-measure unchanged cells and hit instead of
-/// re-simulating.
-pub fn cross_matrix_with(
-    profiles: &[WorkloadProfile],
-    configs: &mut [CoreConfig],
-    ops: u64,
-    passes: u32,
-    jobs: usize,
-    cache: Option<&EvalCache>,
-) -> (CrossPerfMatrix, Vec<u64>) {
-    assert_eq!(
-        profiles.len(),
-        configs.len(),
-        "one configuration per workload"
-    );
-    let ctx = RunContext::from_env().unwrap_or_else(|e| panic!("{e}"));
-    cross_matrix_recoverable(profiles, configs, ops, passes, jobs, cache, &ctx)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The crash-safe [`cross_matrix_with`]: every cell measurement runs
-/// through `ctx` — panic-isolated, retried, optionally journaled and
-/// fault-injected. A cell that fails every attempt is reported in the
-/// context's [`RecoveryStats`](xps_explore::RecoveryStats) and
-/// measured as [`FAILED_CELL_IPT`] (so it can never win a replacement
-/// decision) instead of aborting the run.
+/// Cells are pure functions of `(profile, config, ops)`, fanned out
+/// over `jobs` workers (0 = available parallelism) and merged in
+/// row-major order, so the matrix is bit-identical for any worker
+/// count. With a `cache` shared with the exploration phase,
+/// replacement passes mostly re-measure unchanged cells and hit
+/// instead of re-simulating.
+///
+/// Every cell measurement runs through `ctx` — panic-isolated,
+/// retried, optionally journaled and fault-injected. A cell that fails
+/// every attempt is reported in the context's
+/// [`RecoveryStats`](xps_explore::RecoveryStats) and measured as
+/// [`FAILED_CELL_IPT`] (so it can never win a replacement decision)
+/// instead of aborting the run.
 ///
 /// # Errors
 ///
@@ -465,7 +438,16 @@ mod tests {
         let mut good = CoreConfig::initial();
         good.name = "vpr".to_string();
         let mut configs = vec![bad, good];
-        let m = cross_matrix(&profiles, &mut configs, 20_000, 3);
+        let (m, _) = cross_matrix_recoverable(
+            &profiles,
+            &mut configs,
+            20_000,
+            3,
+            1,
+            None,
+            &RunContext::new(),
+        )
+        .expect("a valid two-workload matrix");
         assert!(m.is_diagonal_dominant());
         assert_eq!(
             configs[0].rob_size, configs[1].rob_size,

@@ -6,10 +6,8 @@
 //! `{"error": "<message>"}` with the right status line.
 
 use std::fmt;
-use xps_core::PipelineError;
 
-/// Everything that can fail while serving a request or running a
-/// campaign.
+/// Everything that can fail while serving a request.
 #[derive(Debug)]
 pub enum ServeError {
     /// The request is syntactically or semantically malformed
@@ -41,8 +39,6 @@ pub enum ServeError {
     },
     /// Filesystem trouble under the data directory. 500.
     Io(std::io::Error),
-    /// The underlying exploration pipeline failed. 500.
-    Pipeline(PipelineError),
     /// A dispatched task panicked on this worker. 500.
     TaskPanicked(String),
 }
@@ -55,10 +51,9 @@ impl ServeError {
             ServeError::NotFound(_) => 404,
             ServeError::MethodNotAllowed { .. } => 405,
             ServeError::TooLarge { .. } => 413,
-            ServeError::StoreCorrupt { .. }
-            | ServeError::Io(_)
-            | ServeError::Pipeline(_)
-            | ServeError::TaskPanicked(_) => 500,
+            ServeError::StoreCorrupt { .. } | ServeError::Io(_) | ServeError::TaskPanicked(_) => {
+                500
+            }
         }
     }
 }
@@ -80,7 +75,6 @@ impl fmt::Display for ServeError {
                 path.display()
             ),
             ServeError::Io(e) => write!(f, "i/o: {e}"),
-            ServeError::Pipeline(e) => write!(f, "pipeline: {e}"),
             ServeError::TaskPanicked(msg) => write!(f, "task panicked on worker: {msg}"),
         }
     }
@@ -90,7 +84,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Io(e) => Some(e),
-            ServeError::Pipeline(e) => Some(e),
             _ => None,
         }
     }
@@ -99,12 +92,6 @@ impl std::error::Error for ServeError {
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
         ServeError::Io(e)
-    }
-}
-
-impl From<PipelineError> for ServeError {
-    fn from(e: PipelineError) -> ServeError {
-        ServeError::Pipeline(e)
     }
 }
 

@@ -1,14 +1,15 @@
-//! The fleet coordinator: scatter-gather exploration over remote
+//! The fleet dispatcher: scatters a campaign's tasks over remote
 //! `xps-serve` workers, hardened against worker failure.
 //!
 //! A [`Fleet`] implements the exploration layer's
-//! [`TaskDispatcher`] seam: when the pipeline fans out a batch of
-//! tasks, each task's canonical [`TaskSpec`] is POSTed to a worker's
-//! `/tasks` endpoint, and the returned body is spliced into the fan in
-//! item order — so the gathered campaign document is byte-identical to
-//! a single-node run for any worker count, topology, or failure
-//! schedule. The coordinator owns *placement and endurance*; the
-//! *results* are pure functions of the specs.
+//! [`TaskDispatcher`] seam. Attached to a run with
+//! [`RunContext::with_dispatcher`](xps_core::explore::RunContext::with_dispatcher),
+//! it takes each task the pipeline fans out and POSTs its canonical
+//! [`TaskSpec`] to a worker's `/tasks` endpoint. The returned body is
+//! spliced into the fan in item order, so a campaign run over a fleet
+//! writes the same bytes as a single-node run for any worker count,
+//! topology, or failure schedule. The dispatcher owns *placement and
+//! endurance*; the *results* are pure functions of the specs.
 //!
 //! Failure handling is the point:
 //!
@@ -32,33 +33,14 @@
 //!   the dispatcher declines and the task runs coordinator-local: the
 //!   campaign always completes, degraded but correct.
 
-use crate::error::ServeError;
-use crate::store::{body_checksum, content_id};
+use crate::store::body_checksum;
 use crate::transport::Transport;
-use serde::{Serialize, Value};
+use serde::Value;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use xps_core::explore::{fnv64, EvalCache, RunContext, TaskDispatcher, TaskSpec};
-use xps_core::workload::spec;
-use xps_core::{Pipeline, PipelineError};
-
-/// The pipeline of a named campaign profile: `smoke` ([`Pipeline::smoke`],
-/// seconds) or `quick` ([`Pipeline::quick`]), on `jobs` worker threads.
-fn profile_pipeline(profile: &str, jobs: usize) -> Result<Pipeline, ServeError> {
-    let mut p = match profile {
-        "smoke" => Pipeline::smoke(),
-        "quick" => Pipeline::quick(),
-        other => {
-            return Err(ServeError::BadRequest(format!(
-                "unknown profile `{other}`; known: smoke, quick"
-            )))
-        }
-    };
-    p.explore.jobs = jobs;
-    Ok(p)
-}
+use xps_core::explore::{fnv64, TaskDispatcher, TaskSpec};
 
 /// Tuning for a fleet coordinator.
 #[derive(Debug, Clone)]
@@ -235,9 +217,8 @@ impl FleetInner {
 }
 
 /// The coordinator-side dispatcher over a set of workers. Construct
-/// with [`Fleet::new`], hand it to
-/// [`RunContext::with_dispatcher`], or drive a whole campaign with
-/// [`run_campaign_with_fleet`].
+/// with [`Fleet::new`] and hand it to
+/// [`RunContext::with_dispatcher`](xps_core::explore::RunContext::with_dispatcher).
 #[derive(Debug)]
 pub struct Fleet {
     inner: Arc<FleetInner>,
@@ -417,124 +398,18 @@ pub(crate) fn open_envelope(envelope: &str) -> Result<String, String> {
     Ok(body)
 }
 
-/// A gathered fleet campaign.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// The campaign document — byte-identical to a single-node run.
-    pub document: String,
-    /// The campaign's content id: the store fingerprint of its
-    /// canonical `{"profile":…,"workloads":[…]}` description, so equal
-    /// campaigns — however their workloads were listed — share it.
-    pub campaign_id: String,
-    /// Tasks answered by remote workers during this run.
-    pub remote_tasks: u64,
-    /// Fleet accounting at the end of the run.
-    pub stats: FleetStats,
-}
-
-/// Run one exploration campaign scattered over `fleet`, gathering the
-/// canonical campaign document. Placement, retries, quarantine, and
-/// degradation never change the output bytes: every task result is a
-/// pure function of its spec, results merge in item order, and the
-/// document is emitted through the one `campaign_document`
-/// serialization point.
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] for unknown workload or profile names
-/// and [`ServeError::Pipeline`] when the pipeline itself fails
-/// (dispatch failures degrade to local execution instead of failing).
-pub fn run_campaign_with_fleet(
-    workloads: &[String],
-    profile: &str,
-    jobs: usize,
-    fleet: &Arc<Fleet>,
-) -> Result<FleetReport, ServeError> {
-    let pipeline = profile_pipeline(profile, jobs)?;
-    let mut names: Vec<String> = workloads.to_vec();
-    names.sort();
-    names.dedup();
-    if names.is_empty() {
-        return Err(ServeError::BadRequest(
-            "fleet campaign needs at least one workload".into(),
-        ));
-    }
-    let profiles: Vec<_> = names
-        .iter()
-        .map(|n| {
-            spec::profile(n).ok_or_else(|| {
-                ServeError::BadRequest(format!(
-                    "unknown workload `{n}`; known: {}",
-                    spec::BENCHMARKS.join(", ")
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let cache = EvalCache::new();
-    // `from_env` honors `XPS_FAULTS`, so fleet runs compose with the
-    // task-level fault harness exactly like daemon and batch runs.
-    let ctx = RunContext::from_env()
-        .map_err(|e| ServeError::Pipeline(PipelineError::from(e)))?
-        .with_dispatcher(fleet.clone());
-    let result = pipeline.run_recoverable_with(&profiles, &ctx, &cache)?;
-    Ok(FleetReport {
-        document: campaign_document(&names, &result),
-        campaign_id: campaign_id(profile, &names),
-        remote_tasks: ctx.remote_dispatched(),
-        stats: fleet.stats(),
-    })
-}
-
-/// Assemble the canonical campaign document from a pipeline result.
-/// The single serialization point for campaign bodies, so a
-/// fleet-gathered campaign is byte-identical to a single-node run by
-/// construction. The document holds only deterministic simulation
-/// results — never run counters, which differ across resumes and
-/// topologies.
-fn campaign_document(workloads: &[String], result: &xps_core::PipelineResult) -> String {
-    crate::json(&Value::Obj(vec![
-        ("workloads".to_string(), str_array(workloads)),
-        (
-            "cores".to_string(),
-            Value::Arr(result.cores.iter().map(|c| c.to_value()).collect()),
-        ),
-        ("matrix".to_string(), result.matrix.to_value()),
-    ]))
-}
-
-/// The store fingerprint of a campaign's canonical description
-/// (profile name, sorted workload set).
-fn campaign_id(profile: &str, names: &[String]) -> String {
-    content_id(&crate::json(&Value::Obj(vec![
-        ("profile".to_string(), Value::Str(profile.to_string())),
-        ("workloads".to_string(), str_array(names)),
-    ])))
-}
-
-fn str_array(names: &[String]) -> Value {
-    Value::Arr(names.iter().cloned().map(Value::Str).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Response;
+    use crate::error::ServeError;
     use crate::netfault::NetFaultPlan;
     use crate::transport::FlakyTransport;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Mutex;
-
-    #[test]
-    fn campaign_ids_are_pinned() {
-        // `repro fleet` prints these ids; their bytes must not drift.
-        let names = vec!["gzip".to_string(), "mcf".to_string()];
-        assert_eq!(
-            campaign_id("smoke", &names),
-            content_id(r#"{"profile":"smoke","workloads":["gzip","mcf"]}"#)
-        );
-        assert_eq!(campaign_id("smoke", &names), "2342890b02e7a292");
-        assert_eq!(campaign_id("quick", &names), "4e5edcfb2f95fa84");
-    }
+    use xps_core::explore::{EvalCache, RunContext};
+    use xps_core::workload::spec;
+    use xps_core::{Measured, Pipeline};
 
     #[test]
     fn envelope_round_trips_and_detects_tampering() {
@@ -632,18 +507,23 @@ mod tests {
         }
     }
 
-    fn local_document(workloads: &[&str], jobs: usize) -> String {
-        let names: Vec<String> = workloads.iter().map(|w| w.to_string()).collect();
-        let no_workers = Arc::new(Fleet::new(
-            FleetConfig {
-                heartbeat_interval: Duration::ZERO,
-                ..FleetConfig::new(Vec::new())
-            },
-            Arc::new(crate::transport::TcpTransport::default()),
-        ));
-        run_campaign_with_fleet(&names, "smoke", jobs, &no_workers)
-            .expect("local run")
-            .document
+    /// The smoke campaign on gzip+mcf over 2 jobs, dispatched through
+    /// `fleet` when given: its `measured.json` bytes and the number of
+    /// tasks answered remotely.
+    fn campaign(fleet: Option<Arc<Fleet>>) -> (String, u64) {
+        let profiles: Vec<_> = ["gzip", "mcf"]
+            .iter()
+            .map(|w| spec::profile(w).expect("known benchmark"))
+            .collect();
+        let mut pipeline = Pipeline::smoke();
+        pipeline.explore.jobs = 2;
+        let mut ctx = RunContext::from_env().expect("XPS_FAULTS parses");
+        if let Some(fleet) = fleet {
+            ctx = ctx.with_dispatcher(fleet);
+        }
+        let result = pipeline.run_recoverable(&profiles, &ctx).expect("campaign");
+        let bytes = Measured::from((result, true)).encode().expect("encodes");
+        (bytes, ctx.remote_dispatched())
     }
 
     fn quick_fleet(transport: Arc<dyn Transport>, workers: &[&str], retries: u32) -> Arc<Fleet> {
@@ -656,7 +536,7 @@ mod tests {
 
     #[test]
     fn gathered_document_is_byte_identical_with_a_dead_worker() {
-        let expected = local_document(&["gzip", "mcf"], 2);
+        let (expected, _) = campaign(None);
         let workers = LocalWorkers::new();
         workers
             .dead
@@ -668,11 +548,10 @@ mod tests {
             &["worker-a:1", "worker-b:2", "worker-c:3"],
             2,
         );
-        let names = vec!["gzip".to_string(), "mcf".to_string()];
-        let report = run_campaign_with_fleet(&names, "smoke", 2, &fleet).expect("fleet run");
-        assert_eq!(report.document, expected, "byte identity despite failures");
-        assert!(report.remote_tasks > 0, "work actually went remote");
-        let stats = &report.stats;
+        let (bytes, remote) = campaign(Some(fleet.clone()));
+        assert_eq!(bytes, expected, "byte identity despite failures");
+        assert!(remote > 0, "work actually went remote");
+        let stats = &fleet.stats();
         assert!(stats.retried > 0, "the dead worker forced retries");
         assert!(
             stats.quarantines >= 1,
@@ -691,7 +570,7 @@ mod tests {
 
     #[test]
     fn all_workers_dead_degrades_to_local_and_stays_identical() {
-        let expected = local_document(&["gzip"], 2);
+        let (expected, _) = campaign(None);
         let workers = LocalWorkers::new();
         {
             let mut dead = workers.dead.lock().expect("lock");
@@ -699,30 +578,25 @@ mod tests {
             dead.insert("w2:2".to_string());
         }
         let fleet = quick_fleet(Arc::new(workers), &["w1:1", "w2:2"], 1);
-        let names = vec!["gzip".to_string()];
-        let report = run_campaign_with_fleet(&names, "smoke", 2, &fleet).expect("degraded run");
-        assert_eq!(report.document, expected);
-        assert_eq!(report.remote_tasks, 0);
-        assert!(report.stats.degraded > 0);
-        assert_eq!(report.stats.dispatched, 0);
+        let (bytes, remote) = campaign(Some(fleet.clone()));
+        assert_eq!(bytes, expected);
+        assert_eq!(remote, 0);
+        assert!(fleet.stats().degraded > 0);
+        assert_eq!(fleet.stats().dispatched, 0);
     }
 
     #[test]
     fn flaky_transport_never_changes_the_gathered_bytes() {
-        let expected = local_document(&["gzip", "mcf"], 2);
+        let (expected, _) = campaign(None);
         let plan = NetFaultPlan::parse(
             "drop=10,delay=5,truncate=5,duplicate=5,garbage=5,seed=3,delay_ms=1",
         )
         .expect("parses");
         let transport = FlakyTransport::new(plan, LocalWorkers::new());
         let fleet = quick_fleet(Arc::new(transport), &["w1:1", "w2:2"], 3);
-        let names = vec!["gzip".to_string(), "mcf".to_string()];
-        let report = run_campaign_with_fleet(&names, "smoke", 2, &fleet).expect("flaky run");
-        assert_eq!(
-            report.document, expected,
-            "faults may relocate, never corrupt"
-        );
-        assert!(report.remote_tasks > 0);
+        let (bytes, remote) = campaign(Some(fleet));
+        assert_eq!(bytes, expected, "faults may relocate, never corrupt");
+        assert!(remote > 0);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A campaign's expensive units of work — annealing walks, lock-step
 //! evaluation groups, budgeted searches — are pure functions of small
 //! wire-format [`TaskSpec`](xps_core::explore::TaskSpec)s. The daemon
-//! executes them: a coordinator (`repro fleet`, `scale`, `bakeoff`)
-//! POSTs each spec to `/tasks`, the worker runs it against its shared
-//! evaluation cache over a hand-rolled, dependency-free HTTP/1.1 layer,
-//! and the result lands in a content-addressed, checksummed
+//! executes them: a coordinator (`repro explore`, `scale` or `bakeoff`
+//! with `--workers`) POSTs each spec to `/tasks`, the worker runs it
+//! against its shared evaluation cache over a hand-rolled,
+//! dependency-free HTTP/1.1 layer, and the result lands in a content-addressed, checksummed
 //! [`ResultStore`], so a repeated task — a retried dispatch, a second
 //! campaign, a restarted worker — is answered byte-identically without
 //! one new simulation. `GET /healthz` answers heartbeats, `GET
@@ -31,9 +31,10 @@
 //!   ([`FlakyTransport`]).
 //! * `netfault` — seeded network fault plans ([`NetFaultPlan`],
 //!   `XPS_NET_FAULTS`).
-//! * `fleet` — the scatter-gather coordinator ([`Fleet`]):
-//!   heartbeats, bounded retries with deterministic backoff,
-//!   quarantine, and graceful degradation to local execution.
+//! * `fleet` — the coordinator's task dispatcher ([`Fleet`]), which a
+//!   run context takes with `with_dispatcher`: heartbeats, bounded
+//!   retries with deterministic backoff, quarantine, and graceful
+//!   degradation to local execution.
 
 #![deny(
     clippy::unwrap_used,
@@ -59,9 +60,7 @@ mod store;
 mod transport;
 
 pub use error::ServeError;
-pub use fleet::{
-    run_campaign_with_fleet, Fleet, FleetConfig, FleetReport, FleetStats, WorkerSnapshot,
-};
+pub use fleet::{Fleet, FleetConfig, FleetStats, WorkerSnapshot};
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_US};
 pub use netfault::{NetFault, NetFaultPlan};
 pub use server::{install_signal_handlers, Server, ServerConfig, ShutdownHandle};

@@ -8,15 +8,19 @@
 //! evaluation cache; and the event-driven accept loop serves and
 //! drains without a poll floor.
 
+mod common;
+
+use common::campaign;
 use serde::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xps_serve::{
-    client, run_campaign_with_fleet, Fleet, FleetConfig, Server, ServerConfig, ShutdownHandle,
-    TcpTransport, Transport,
+    client, Fleet, FleetConfig, Server, ServerConfig, ShutdownHandle, TcpTransport, Transport,
 };
+
+const WORKLOADS: [&str; 2] = ["gzip", "mcf"];
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -138,7 +142,7 @@ fn metrics_sample_the_shared_eval_cache() {
 /// The smoke campaign twice over one worker: the second run is
 /// answered entirely from the worker's store — no task executes
 /// again, every task the first run sent is one store hit — and
-/// gathers the identical document.
+/// writes the identical `measured.json` bytes.
 #[test]
 fn a_repeated_campaign_is_answered_from_the_store() {
     let dir = data_dir("repeat");
@@ -147,17 +151,15 @@ fn a_repeated_campaign_is_answered_from_the_store() {
     let mut cfg = FleetConfig::new(vec![addr.clone()]);
     cfg.heartbeat_interval = Duration::ZERO;
     let fleet = Arc::new(Fleet::tcp(cfg));
-    let workloads = vec!["gzip".to_string(), "mcf".to_string()];
 
-    let first = run_campaign_with_fleet(&workloads, "smoke", 2, &fleet).expect("first run");
-    assert!(first.remote_tasks > 0, "nothing ran remotely");
+    let (first, remote) = campaign(&WORKLOADS, Some(fleet.clone()));
+    assert!(remote > 0, "nothing ran remotely");
     let sent = fleet.stats().dispatched;
     let executed = metric(&addr, &["fleet", "tasks_executed"]);
     let hits = metric(&addr, &["fleet", "task_store_hits"]);
 
-    let second = run_campaign_with_fleet(&workloads, "smoke", 2, &fleet).expect("second run");
-    assert_eq!(second.document, first.document, "byte-identical documents");
-    assert_eq!(second.campaign_id, first.campaign_id);
+    let (second, _) = campaign(&WORKLOADS, Some(fleet.clone()));
+    assert_eq!(second, first, "byte-identical campaigns");
     assert_eq!(
         metric(&addr, &["fleet", "tasks_executed"]),
         executed,
@@ -176,13 +178,11 @@ fn a_repeated_campaign_is_answered_from_the_store() {
 /// A campaign sends each distinct task spec once: a spec it asks for
 /// again (a later cross-seeding round repeating an evaluation) is
 /// answered from the response it already has, so the worker executes
-/// every task it is sent and answers none from its store. The document
-/// is still the single-node oracle's, byte for byte.
+/// every task it is sent and answers none from its store. The
+/// `measured.json` bytes are still the single-node run's.
 #[test]
 fn a_campaign_sends_each_distinct_spec_once() {
-    let workloads = vec!["gzip".to_string(), "mcf".to_string()];
-    let local = Arc::new(Fleet::tcp(FleetConfig::new(Vec::new())));
-    let oracle = run_campaign_with_fleet(&workloads, "smoke", 2, &local).expect("local run");
+    let (oracle, _) = campaign(&WORKLOADS, None);
 
     let dir = data_dir("distinct");
     let daemon = start(&dir);
@@ -190,8 +190,8 @@ fn a_campaign_sends_each_distinct_spec_once() {
     let mut cfg = FleetConfig::new(vec![addr.clone()]);
     cfg.heartbeat_interval = Duration::ZERO;
     let fleet = Arc::new(Fleet::tcp(cfg));
-    let run = run_campaign_with_fleet(&workloads, "smoke", 2, &fleet).expect("fleet run");
-    assert_eq!(run.document, oracle.document, "byte-identical documents");
+    let (run, remote) = campaign(&WORKLOADS, Some(fleet.clone()));
+    assert_eq!(run, oracle, "byte-identical campaigns");
     let stats = fleet.stats();
     assert_eq!(stats.degraded, 0, "every described task ran remotely");
     assert_eq!(
@@ -204,9 +204,8 @@ fn a_campaign_sends_each_distinct_spec_once() {
         stats.dispatched
     );
     assert!(
-        run.remote_tasks > stats.dispatched,
-        "the campaign repeats no spec, so this tests nothing: {} remote, {} sent",
-        run.remote_tasks,
+        remote > stats.dispatched,
+        "the campaign repeats no spec, so this tests nothing: {remote} remote, {} sent",
         stats.dispatched
     );
 

@@ -1,12 +1,13 @@
 //! Fleet integration tests against REAL `xps-serve` worker processes:
 //! real TCP, real process death.
 //!
-//! The acceptance criterion under test is the ISSUE's headline
-//! guarantee: the gathered campaign document is byte-identical to a
-//! single-node run for any worker count {1, 2, 4}, when one of three
-//! workers is SIGKILLed mid-campaign, and under a seeded network
-//! fault schedule. Failures may cost retries, quarantines, and local
+//! The guarantee under test: a campaign's `measured.json` bytes are
+//! identical to a single-node run's for any worker count {1, 2, 4},
+//! when one of three workers is SIGKILLed mid-campaign, and under a
+//! seeded network fault schedule. Failures may cost retries, quarantines, and local
 //! fallback — never different bytes.
+
+mod common;
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -14,9 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xps_serve::{
-    run_campaign_with_fleet, FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport,
-};
+use xps_serve::{FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -79,10 +78,6 @@ impl Drop for Worker {
 
 const WORKLOADS: [&str; 2] = ["gzip", "mcf"];
 
-fn workloads() -> Vec<String> {
-    WORKLOADS.iter().map(|s| (*s).to_string()).collect()
-}
-
 /// A fleet config tuned for tests: fast retries, short deadlines,
 /// background heartbeat off so every probe and retry in the stats is
 /// attributable to the campaign itself.
@@ -97,20 +92,14 @@ fn test_config(addrs: Vec<String>) -> FleetConfig {
     cfg
 }
 
-/// The single-node oracle: a fleet with zero workers degrades every
-/// task to coordinator-local execution, which is by construction the
-/// plain pipeline run.
+/// The single-node oracle: the plain pipeline run, with no
+/// dispatcher.
 fn single_node_document() -> String {
-    let fleet = Arc::new(Fleet::tcp(test_config(Vec::new())));
-    run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet)
-        .expect("local campaign")
-        .document
+    common::campaign(&WORKLOADS, None).0
 }
 
 fn fleet_document(fleet: &Arc<Fleet>) -> String {
-    run_campaign_with_fleet(&workloads(), "smoke", 2, fleet)
-        .expect("fleet campaign")
-        .document
+    common::campaign(&WORKLOADS, Some(fleet.clone())).0
 }
 
 #[test]

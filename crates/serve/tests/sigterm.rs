@@ -1,7 +1,7 @@
 //! Process-level graceful-drain test: a real `xps-serve` worker
 //! process, sent SIGTERM while a fleet campaign is dispatching to it,
-//! must exit 0 having answered its in-flight tasks, the coordinator's
-//! gathered document must equal the single-node oracle, and a worker
+//! must exit 0 having answered its in-flight tasks, the campaign's
+//! `measured.json` bytes must equal a single-node run's, and a worker
 //! restarted on the same data directory must answer the stored tasks
 //! from its store — the same bytes again.
 //!
@@ -10,13 +10,16 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::campaign;
 use serde::Value;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xps_serve::{client, run_campaign_with_fleet, Fleet, FleetConfig};
+use xps_serve::{client, Fleet, FleetConfig};
 
 fn data_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xps-sigterm-{tag}-{}", std::process::id()));
@@ -115,27 +118,21 @@ fn fleet(workers: Vec<String>) -> Arc<Fleet> {
 /// The smoke campaign over every paper benchmark: long enough —
 /// hundreds of tasks — that SIGTERM reliably lands mid-campaign, on
 /// any machine speed.
-fn workloads() -> Vec<String> {
-    xps_core::workload::spec::BENCHMARKS
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect()
-}
+const WORKLOADS: &[&str] = &xps_core::workload::spec::BENCHMARKS;
 
 #[test]
 fn sigterm_drains_and_a_restarted_worker_answers_from_its_store() {
-    let oracle = run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet(Vec::new()))
-        .expect("single-node campaign")
-        .document;
+    let (oracle, _) = campaign(WORKLOADS, None);
 
     // SIGTERM lands once the worker has executed a task: the campaign
     // is then mid-scatter, with tasks in flight and more to come.
     let dir = data_dir("drain");
     let daemon = DaemonProc::spawn(&dir);
     let addr = daemon.addr.clone();
-    let campaign = {
-        let fleet = fleet(vec![addr.clone()]);
-        std::thread::spawn(move || run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet))
+    let draining = fleet(vec![addr.clone()]);
+    let run = {
+        let fleet = draining.clone();
+        std::thread::spawn(move || campaign(WORKLOADS, Some(fleet)))
     };
     let deadline = Instant::now() + Duration::from_secs(120);
     while metric(&addr, "fleet", "tasks_executed") == 0 {
@@ -149,24 +146,21 @@ fn sigterm_drains_and_a_restarted_worker_answers_from_its_store() {
     let (clean, out) = daemon.wait();
     assert!(clean, "a busy worker drains cleanly on SIGTERM: {out}");
     assert!(out.contains("drained cleanly"), "stdout: {out}");
-    let report = campaign
+    let (bytes, _) = run
         .join()
-        .expect("campaign thread")
         .expect("the campaign completes without its worker");
-    assert_eq!(report.document, oracle, "a drained worker cost bytes");
+    assert_eq!(bytes, oracle, "a drained worker cost bytes");
+    let stats = draining.stats();
     assert!(
-        report.stats.degraded > 0,
-        "SIGTERM landed after the campaign: {:?}",
-        report.stats
+        stats.degraded > 0,
+        "SIGTERM landed after the campaign: {stats:?}"
     );
 
     // A worker restarted on the same data directory answers what the
     // first process stored without re-running it.
     let resumed = DaemonProc::spawn(&dir);
-    let again =
-        run_campaign_with_fleet(&workloads(), "smoke", 2, &fleet(vec![resumed.addr.clone()]))
-            .expect("campaign on the restarted worker");
-    assert_eq!(again.document, oracle, "the restarted worker cost bytes");
+    let (again, _) = campaign(WORKLOADS, Some(fleet(vec![resumed.addr.clone()])));
+    assert_eq!(again, oracle, "the restarted worker cost bytes");
     assert!(
         metric(&resumed.addr, "fleet", "task_store_hits") > 0,
         "the restarted worker re-ran every stored task"
